@@ -18,7 +18,7 @@ from .mapping import (MappingParams, Strategy, first_level, initial_mapping,
                       interaction_scores, second_level)
 from .oracle import (BoundMode, Infeasible, OracleLimits, exact_schedule,
                      ideal_bounds, random_instance)
-from .scheduler import (DecayTable, Schedule, SchedulerParams, SchedulerStuck,
+from .scheduler import (DecayTable, DeviceFull, Schedule, SchedulerParams, SchedulerStuck,
                         candidates, distance_table, schedule)
 from .state import HeatParams, MachineState, apply_generic_swap, chain_length, ion_distance
 from .validate import replay

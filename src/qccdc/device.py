@@ -6,7 +6,8 @@ inside a trap gets an intra edge (weight = inner_weight * slot distance),
 and the end slots of path-connected traps get shuttle edges
 (weight = w * (junctions + 1)).  All intra weights sit below the threshold,
 all shuttle weights above it, so a single weight comparison separates
-"inside one trap" from "between traps".
+"inside one trap" from "between traps".  Of several paths joining the same
+two traps only the cheapest becomes edges, so each slot pair has one edge.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,20 @@ class EdgeKind(enum.Enum):
     INVALID = "invalid"
 
 
+# Edge classes, fixed per edge by the weight comparisons ``classify_edge``
+# makes: an intra edge between slots further apart than one, an intra edge
+# between adjacent slots, and a shuttle edge (above the threshold).
+INTRA_EDGE, ADJACENT_EDGE, SHUTTLE_EDGE = 0, 1, 2
+
+# EDGE_KINDS[edge class][occupied endpoints]: the generic swap the edge allows
+EDGE_KINDS = (
+    (EdgeKind.INVALID, EdgeKind.INVALID, EdgeKind.QUBIT_SWAP),
+    (EdgeKind.INVALID, EdgeKind.SPACE_SHIFT, EdgeKind.QUBIT_SWAP),
+    (EdgeKind.INVALID, EdgeKind.SHUTTLE, EdgeKind.INVALID),
+)
+VALID_SWAP = np.array([[k is not EdgeKind.INVALID for k in row] for row in EDGE_KINDS])
+
+
 class NodeContent(enum.Enum):
     QUBIT = "qubit"
     SPACE = "space"
@@ -124,6 +141,11 @@ class Edge:
     distance: int = 0
     segments: int = 0
     junctions: tuple[int, ...] = ()
+
+
+def _path_cost(path: Path) -> tuple[int, int]:
+    """Orders parallel paths: shuttle weight (junctions + 1), then segments."""
+    return len(path.junctions) + 1, path.segments
 
 
 class DeviceGraph:
@@ -147,37 +169,54 @@ class DeviceGraph:
             self.trap_slots[trap.id] = slots
         self.n_nodes = len(self.node_trap)
 
-        self.edges: list[Edge] = []
+        # one shuttle path per trap pair: the cheapest by (weight, segments),
+        # the first listed on a tie; shuttle edges and trap routes both use it
+        self.trap_paths: dict[tuple[int, int], Path] = {}
+        for path in topology.paths:
+            key = (min(path.trap_a, path.trap_b), max(path.trap_a, path.trap_b))
+            old = self.trap_paths.get(key)
+            if old is None or _path_cost(path) < _path_cost(old):
+                self.trap_paths[key] = path
+
         self._edge_index: dict[tuple[int, int], Edge] = {}
         for trap in topology.traps:
             slots = self.trap_slots[trap.id]
             for i in range(len(slots)):
                 for j in range(i + 1, len(slots)):
                     d = j - i
-                    self._add(Edge(slots[i], slots[j], params.inner_weight * d,
-                                   is_shuttle=False, distance=d))
-        for path in topology.paths:
+                    self._edge_index[(slots[i], slots[j])] = Edge(
+                        slots[i], slots[j], params.inner_weight * d, is_shuttle=False, distance=d)
+        for path in self.trap_paths.values():
             w = params.shuttle_base * (len(path.junctions) + 1)
             ends_a = self._end_slots(path.trap_a)
             ends_b = self._end_slots(path.trap_b)
             for u in ends_a:
                 for v in ends_b:
                     a, b = (u, v) if u < v else (v, u)
-                    self._add(Edge(a, b, w, is_shuttle=True,
-                                   segments=path.segments, junctions=path.junctions))
+                    self._edge_index[(a, b)] = Edge(a, b, w, is_shuttle=True,
+                                                    segments=path.segments,
+                                                    junctions=path.junctions)
+        self.edges: list[Edge] = list(self._edge_index.values())
 
         self.adjacency: list[list[Edge]] = [[] for _ in range(self.n_nodes)]
         for e in self.edges:
             self.adjacency[e.u].append(e)
             self.adjacency[e.v].append(e)
 
+        # static per-edge arrays, in edge order, for the scheduler's vectorised
+        # candidate scan: endpoints, weights, and the class that with the number
+        # of occupied endpoints decides the edge's kind (see ``EDGE_KINDS``)
+        self.edge_u = np.array([e.u for e in self.edges], dtype=np.intp)
+        self.edge_v = np.array([e.v for e in self.edges], dtype=np.intp)
+        self.edge_weight = np.array([e.weight for e in self.edges], dtype=float)
+        below = self.edge_weight <= params.threshold
+        self.edge_class = np.where(
+            below, np.where(self.edge_weight == params.inner_weight, ADJACENT_EDGE, INTRA_EDGE),
+            SHUTTLE_EDGE).astype(np.intp)
+
     def _end_slots(self, trap_id: int) -> tuple[int, int]:
         slots = self.trap_slots[trap_id]
         return slots[0], slots[-1]
-
-    def _add(self, edge: Edge):
-        self.edges.append(edge)
-        self._edge_index[(edge.u, edge.v)] = edge
 
     def edge(self, u: int, v: int) -> Edge:
         key = (u, v) if u < v else (v, u)

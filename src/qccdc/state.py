@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .device import DeviceGraph, Edge, EdgeKind, NodeContent, classify_edge
 from .events import EventKind, EventRecord
 
@@ -49,6 +51,8 @@ class MachineState:
             self.slot_qubit[node] = q
             self.mapping[q] = node
         self.occupancy = _OccupancyView(self.slot_qubit)
+        # 0/1 per slot, for the scheduler's vectorised candidate scan
+        self.occupied = np.array([q is not None for q in self.slot_qubit], dtype=np.intp)
         self.spaces: dict[int, set[int]] = {}
         self.space_count: dict[int, int] = {}
         for trap_id, slots in graph.trap_slots.items():
@@ -87,6 +91,8 @@ class MachineState:
         g = self.graph
         qu, qv = self.slot_qubit[u], self.slot_qubit[v]
         self.slot_qubit[u], self.slot_qubit[v] = qv, qu
+        occ = self.occupied
+        occ[u], occ[v] = occ[v], occ[u]
         if qu is not None:
             self.mapping[qu] = v
         if qv is not None:
@@ -159,6 +165,7 @@ class MachineState:
                 seen[q] = node
                 assert self.mapping[q] == node
         assert seen == self.mapping
+        assert self.occupied.tolist() == [int(q is not None) for q in self.slot_qubit]
         for trap_id, slots in self.graph.trap_slots.items():
             poss = {self.graph.node_pos[n] for n in slots if self.slot_qubit[n] is None}
             assert poss == self.spaces[trap_id]

@@ -70,6 +70,12 @@ def test_compile_error_exit_code(capsys):
     assert main(["compile", "--gen", "nope:4", "--topology", "G2x2:4"]) == 2
 
 
+def test_compile_full_device_exit_code(capsys):
+    # even division fills both traps, so no qubit can be shuttled
+    assert main(["compile", "--gen", "qft:8", "--topology", "L2:4", "--mapping", "even"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_topology_json_file(tmp_path):
     topo = tmp_path / "t.json"
     topo.write_text(json.dumps({"family": "L", "n": 2, "capacity": 4}))

@@ -1,0 +1,144 @@
+"""The vectorised candidate scan and scorer against their scalar references.
+
+``candidates`` masks static per-edge arrays and ``heuristic_scores`` scores
+all (candidate x frontier gate) pairs in numpy; ``MachineState.classify`` and
+``heuristic_h`` are the per-edge definitions they must reproduce exactly.
+"""
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from qccdc import (EdgeKind, Junction, Path, Topology, Trap, WeightParams, distance_table,
+                   grid_topology, star_topology, to_graph)
+from qccdc.device import EDGE_KINDS
+from qccdc.scheduler import candidates, heuristic_h, heuristic_scores
+from qccdc.state import MachineState
+
+GENERIC = (EdgeKind.QUBIT_SWAP, EdgeKind.SPACE_SHIFT, EdgeKind.SHUTTLE)
+
+
+def chain(caps, hops, parallel=False):
+    """Traps in a row; hop i has (segments, junctions crossed).  With
+    ``parallel`` the first two traps get a second, direct path."""
+    traps = tuple(Trap(i, c) for i, c in enumerate(caps))
+    junctions, paths = [], []
+    for i, (segments, n_junctions) in enumerate(hops):
+        ids = tuple(range(len(junctions), len(junctions) + n_junctions))
+        junctions += [Junction(j, 2) for j in ids]
+        paths.append(Path(i, i + 1, segments, ids))
+    if parallel:
+        paths.append(Path(0, 1, 1, ()))
+    return Topology(traps, tuple(paths), tuple(junctions))
+
+
+@st.composite
+def topologies(draw):
+    family = draw(st.sampled_from(("chain", "G", "S")))
+    if family == "G":
+        rows, cols = draw(st.sampled_from(((1, 2), (2, 2), (1, 3), (2, 3))))
+        return ("G", rows, cols, draw(st.integers(2, 5)))
+    if family == "S":
+        return ("S", draw(st.integers(2, 4)), draw(st.integers(2, 5)))
+    caps = tuple(draw(st.lists(st.integers(2, 7), min_size=2, max_size=4)))
+    hops = tuple(draw(st.tuples(st.integers(1, 3), st.integers(0, 2)))
+                 for _ in range(len(caps) - 1))
+    return ("chain", caps, hops, draw(st.booleans()))
+
+
+def build(spec):
+    if spec[0] == "G":
+        return grid_topology(*spec[1:])
+    if spec[0] == "S":
+        return star_topology(*spec[1:])
+    return chain(*spec[1:])
+
+
+@st.composite
+def scans(draw):
+    """A device, an occupancy, some generic swaps already applied, and a
+    frontier of gates with decay factors, as plain data."""
+    spec = draw(topologies())
+    topo = build(spec)
+    # spaces per trap drawn directly, so full traps and single spaces are common
+    occupancy = []
+    for trap in topo.traps:
+        n_spaces = draw(st.integers(0, trap.capacity))
+        row = [True] * (trap.capacity - n_spaces) + [False] * n_spaces
+        occupancy += draw(st.permutations(row))
+    if sum(occupancy) < 2:
+        occupancy[:2] = [True, True]
+    n_qubits = sum(occupancy)
+    moves = draw(st.lists(st.integers(0, 10 ** 6), max_size=6))
+    gates = draw(st.lists(
+        st.tuples(st.integers(0, n_qubits - 1), st.integers(0, n_qubits - 1),
+                  st.booleans()).filter(lambda t: t[0] != t[1]),
+        min_size=1, max_size=6))
+    delta = draw(st.sampled_from((0.001, 0.37, 2.5)))
+    scale = draw(st.sampled_from((1.0, 100.0, 0.3)))
+    return spec, tuple(occupancy), tuple(moves), tuple(gates), delta, scale
+
+
+def prepare(spec, occupancy, moves, gates, delta, scale):
+    graph = to_graph(build(spec), WeightParams(inner_weight=0.001 * scale,
+                                               shuttle_base=scale, threshold=0.5 * scale))
+    slots = [n for n, full in enumerate(occupancy) if full]
+    state = MachineState(graph, dict(enumerate(slots)))
+    for pick in moves:  # drive the occupancy array through apply_generic_swap
+        valid = [e for e in graph.edges if state.classify(e.u, e.v) in GENERIC]
+        if valid:
+            state.apply_generic_swap(valid[pick % len(valid)])
+    state.check_consistency()
+    frontier = [(a, b, 1.0 + delta if recent else 1.0) for a, b, recent in gates]
+    return graph, state, frontier
+
+
+def classify_loop(state, graph):
+    return [i for i, e in enumerate(graph.edges) if state.classify(e.u, e.v) in GENERIC]
+
+
+# trap 0 full, trap 1 with one space at its receiving end: the shuttle both
+# relieves the source's penalty and adds the destination's
+FULL_TO_ONE = (("chain", (3, 3), ((1, 1),), False),
+               (True,) * 3 + (False, True, True), (), ((0, 4, True), (2, 3, False)), 0.001, 1.0)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scans())
+@example(FULL_TO_ONE)
+def test_candidate_mask_equals_classify_loop(scan):
+    graph, state, _ = prepare(*scan)
+    found = candidates(state, graph)
+    assert found.tolist() == classify_loop(state, graph)
+    for i, e in enumerate(graph.edges):
+        occupied = state.occupied[e.u] + state.occupied[e.v]
+        assert EDGE_KINDS[graph.edge_class[i]][occupied] is state.classify(e.u, e.v)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scans())
+@example(FULL_TO_ONE)
+def test_vectorised_scores_equal_heuristic_h(scan):
+    graph, state, frontier = prepare(*scan)
+    norm = graph.params.shuttle_base
+    dist = distance_table(graph, 2, scale=norm)
+    found = candidates(state, graph)
+    if not len(found):
+        return
+    fast = heuristic_scores(found, state, graph, frontier, dist, 1.0, norm).tolist()
+    slow = [heuristic_h(graph.edges[i], state.classify(graph.edges[i].u, graph.edges[i].v),
+                        state, frontier, dist.tolist(), 1.0, norm) for i in found.tolist()]
+    assert fast == slow
+
+
+def test_full_to_one_example_moves_the_penalty():
+    """The explicit example really has a shuttle whose score carries the
+    penalty terms, so the property above covers them on every run."""
+    graph, state, frontier = prepare(*FULL_TO_ONE)
+    shuttle = graph.edge(2, 3)
+    assert state.classify(2, 3) is EdgeKind.SHUTTLE
+    assert state.space_count == {0: 0, 1: 1}
+    dist = distance_table(graph, 2).tolist()
+    h = heuristic_h(shuttle, EdgeKind.SHUTTLE, state, frontier, dist)
+    # q2 lands next to q3, one intra step apart, and the penalty stays at one
+    # spaceless trap: trap 0 gains a space (-1) and trap 1 fills up (+1)
+    assert h == (0.001 + 1) * 1.0 + shuttle.weight

@@ -5,12 +5,14 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from qccdc import (Circuit, DecayTable, EventKind, Gate, MappingParams,
-                   SchedulerParams, WeightParams, distance_table,
-                   grid_topology, initial_mapping, linear_topology, replay,
-                   schedule, star_topology, to_graph)
+from qccdc import (Circuit, DecayTable, DeviceFull, EventKind, Gate, Junction,
+                   MappingParams, Path, SchedulerParams, Strategy, Topology, Trap,
+                   WeightParams, distance_table, grid_topology, initial_mapping,
+                   linear_topology, replay, schedule, star_topology, to_graph,
+                   topology_from_json)
 from qccdc.bench import qft
-from qccdc.scheduler import candidates
+from qccdc.device import EDGE_KINDS
+from qccdc.scheduler import _trap_adjacency, candidates
 from qccdc.state import MachineState
 
 
@@ -91,7 +93,12 @@ def test_decay_table_reset_window():
 def test_candidates_match_classification():
     g = to_graph(linear_topology(2, 3), WeightParams())
     st = MachineState(g, {0: 0, 1: 1, 2: 3})
-    kinds = {(e.u, e.v): k.value for k, e in candidates(st, g)}
+    found = candidates(st, g)
+    assert list(found) == sorted(found)  # edge order
+    kinds = {}
+    for i in found:
+        e = g.edges[i]
+        kinds[(e.u, e.v)] = EDGE_KINDS[g.edge_class[i]][st.occupied[e.u] + st.occupied[e.v]].value
     assert kinds[(0, 1)] == "swap"
     assert kinds[(1, 2)] == "shift"
     assert (2, 4) not in kinds      # no edge between end slot and interior
@@ -169,3 +176,51 @@ def test_params_validation():
 def test_star_topology_schedules():
     s, *_ = compile_qft(n=10, topo=star_topology(4, 4))
     assert not replay(s)
+
+
+def two_paths(direct_first):
+    """Two capacity-4 traps joined by a 1-segment path through one junction
+    and by a 3-segment path through two."""
+    direct = {"trap_a": 0, "trap_b": 1, "segments": 1, "junctions": [0]}
+    detour = {"trap_a": 0, "trap_b": 1, "segments": 3, "junctions": [1, 2]}
+    return topology_from_json({
+        "traps": [{"id": 0, "capacity": 4}, {"id": 1, "capacity": 4}],
+        "junctions": [{"id": j, "degree": 2} for j in range(3)],
+        "paths": [direct, detour] if direct_first else [detour, direct]})
+
+
+@pytest.mark.parametrize("direct_first", [True, False])
+def test_parallel_paths_keep_the_cheapest_edge(direct_first):
+    g = to_graph(two_paths(direct_first), WeightParams())
+    pairs = [(e.u, e.v) for e in g.edges]
+    assert len(pairs) == len(set(pairs))  # one edge per slot pair
+    shuttles = [e for e in g.edges if e.is_shuttle]
+    assert len(shuttles) == 4
+    assert all((e.segments, e.weight, e.junctions) == (1, 2.0, (0,)) for e in shuttles)
+
+    c = qft(6)
+    s = schedule(c, g, initial_mapping(c, g, MappingParams()))
+    assert not replay(s)
+    moved = [e for e in s.events if e.kind is EventKind.SHUTTLE]
+    assert moved
+    for ev in moved:
+        edge = g.edge(*ev.slots)
+        assert (ev.segments, ev.weight) == (edge.segments, edge.weight)
+
+
+def test_parallel_path_tie_keeps_the_first_listed():
+    topo = Topology((Trap(0, 3), Trap(1, 3)),
+                    (Path(0, 1, 2, (0,)), Path(0, 1, 2, (1,))),
+                    (Junction(0, 2), Junction(1, 2)))
+    g = to_graph(topo, WeightParams())
+    assert {e.junctions for e in g.edges if e.is_shuttle} == {(0,)}
+    assert _trap_adjacency(g) == {0: [(1, 2.0)], 1: [(0, 2.0)]}
+
+
+def test_full_device_raises_device_full():
+    c = qft(8)
+    g = to_graph(linear_topology(2, 4), WeightParams())
+    m = initial_mapping(c, g, MappingParams(strategy=Strategy.EVEN_DIVIDED))
+    with pytest.raises(DeviceFull, match="every trap is full"):
+        schedule(c, g, m)
+    assert issubclass(DeviceFull, ValueError)
