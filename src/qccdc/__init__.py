@@ -6,13 +6,12 @@ under the timing/fidelity model.
 """
 
 from .bench import BENCHMARKS, gen_benchmark
-from .circuit import Circuit, DepGraph, Gate, QasmError, build_dag, parse_qasm, pop_gate, to_qasm
+from .circuit import Circuit, DepGraph, Gate, QasmError, build_dag, parse_qasm, to_qasm
 from .costmodel import (CostParams, GateFamily, Metrics, evaluate, gate_duration,
                         gate_fidelity, shuttle_duration)
-from .device import (DeviceGraph, Edge, EdgeKind, Junction, NodeContent, Path,
-                     Topology, Trap, WeightParams, build_topology, classify_edge,
-                     grid_topology, linear_topology, parse_topology_spec,
-                     star_topology, to_graph, topology_from_json)
+from .device import (DeviceGraph, Edge, EdgeKind, Junction, Path, Topology, Trap,
+                     WeightParams, build_topology, grid_topology, linear_topology,
+                     parse_topology_spec, star_topology, to_graph, topology_from_json)
 from .events import EventKind, EventRecord
 from .mapping import (MappingParams, Strategy, first_level, initial_mapping,
                       interaction_scores, second_level)
@@ -20,7 +19,7 @@ from .oracle import (BoundMode, Infeasible, OracleLimits, exact_schedule,
                      ideal_bounds, random_instance)
 from .scheduler import (DecayTable, DeviceFull, Schedule, SchedulerParams, SchedulerStuck,
                         candidates, distance_table, schedule)
-from .state import HeatParams, MachineState, apply_generic_swap, chain_length, ion_distance
+from .state import HeatParams, MachineState, run_ready_gates
 from .validate import replay
 
 __version__ = "0.1.0"

@@ -115,12 +115,6 @@ def build_dag(circuit: Circuit) -> DepGraph:
     return DepGraph(circuit)
 
 
-def pop_gate(dag: DepGraph, gate_id: int) -> DepGraph:
-    """Remove an executed frontier gate in place and return the DAG."""
-    dag.pop(gate_id)
-    return dag
-
-
 # ---------------------------------------------------------------------------
 # OpenQASM 2.0 subset
 # ---------------------------------------------------------------------------

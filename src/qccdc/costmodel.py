@@ -47,17 +47,13 @@ class CostParams:
     junction_per_path_us: float = 20.0
     space_shift_us: float = 5.0
     swap_gate_multiplier: int = 1
-    # experimental: also fold background heating Gamma*t into the chain quanta
-    # used by the fidelity A-term (off by default; the fidelity formula already
-    # has a Gamma*tau term of its own, so turning this on double-counts
-    # deliberately)
-    integrate_background_heat: bool = False
 
     def __post_init__(self):
         if not 0 < self.single_qubit_fidelity <= 1:
             raise ValueError("single_qubit_fidelity must be in (0, 1]")
         for name in ("single_qubit_duration", "move_us", "split_us", "merge_us",
-                     "junction_base_us", "junction_per_path_us", "space_shift_us"):
+                     "junction_base_us", "junction_per_path_us", "space_shift_us",
+                     "swap_gate_multiplier"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -144,43 +140,30 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
     params = params or CostParams()
     ready: dict[object, float] = {}
     nbar: dict[int, float] = {t.id: 0.0 for t in sched.graph.topology.traps}
-    counts = {"shuttles": 0, "swap_gates": 0, "space_shifts": 0,
-              "two_qubit_gates": 0, "one_qubit_gates": 0}
     success = 1.0
     makespan = 0.0
     timeline: list[TimedEvent] = []
 
-    def chain_nbar(trap: int, start_us: float) -> float:
-        n = nbar[trap]
-        if params.integrate_background_heat:
-            n += params.gamma * start_us * 1e-6
-        return n
-
     for ev in sched.events:
         fidelity = None
-        hot_gate = None  # (tau_for_fidelity, power) resolved after start time
         if ev.kind is EventKind.GATE:
             if len(ev.qubits) == 2:
-                counts["two_qubit_gates"] += 1
                 dur = gate_duration(params.gate_family, ev.chain_ions, ev.ion_dist)
-                hot_gate = (dur, 1)
+                fidelity = gate_fidelity(dur, ev.chain_ions, nbar[ev.traps[0]], params)
             else:
-                counts["one_qubit_gates"] += 1
                 dur = params.single_qubit_duration
                 fidelity = params.single_qubit_fidelity
         elif ev.kind is EventKind.SWAP:
-            counts["swap_gates"] += 1
             if relax_swap:
                 dur = 0.0
             else:
                 one = gate_duration(params.gate_family, ev.chain_ions, ev.ion_dist)
                 dur = params.swap_gate_multiplier * one
-                hot_gate = (one, params.swap_gate_multiplier)
+                fidelity = gate_fidelity(one, ev.chain_ions, nbar[ev.traps[0]],
+                                         params) ** params.swap_gate_multiplier
         elif ev.kind is EventKind.SHIFT:
-            counts["space_shifts"] += 1
             dur = 0.0 if relax_swap else params.space_shift_us
         elif ev.kind is EventKind.SHUTTLE:
-            counts["shuttles"] += 1
             if relax_shuttle:
                 dur = 0.0
             else:
@@ -195,18 +178,12 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
         resources = list(ev.traps) + [("junction", j) for j in ev.junction_ids]
         start = max((ready.get(r, 0.0) for r in resources), default=0.0)
         end = start + dur
-        assert start >= 0.0
         for r in resources:
             ready[r] = end
         makespan = max(makespan, end)
-        if hot_gate is not None:
-            tau, power = hot_gate
-            f1 = gate_fidelity(tau, ev.chain_ions, chain_nbar(ev.traps[0], start),
-                               params)
-            fidelity = f1 ** power
         if fidelity is not None:
             success *= fidelity
         timeline.append(TimedEvent(ev, start, dur, fidelity))
 
     return Metrics(makespan_us=makespan, success_rate=success, timeline=timeline,
-                   **counts)
+                   **sched.metrics)

@@ -105,30 +105,28 @@ class WeightParams:
 
 
 class EdgeKind(enum.Enum):
-    TWO_QUBIT_GATE_SITE = "gate"
+    """The generic swap an edge allows under the current occupancy."""
+
     QUBIT_SWAP = "swap"
     SPACE_SHIFT = "shift"
     SHUTTLE = "shuttle"
     INVALID = "invalid"
 
 
-# Edge classes, fixed per edge by the weight comparisons ``classify_edge``
-# makes: an intra edge between slots further apart than one, an intra edge
-# between adjacent slots, and a shuttle edge (above the threshold).
+# Edge classes, fixed per edge by its weight: an intra edge (at or below the
+# threshold) between slots further apart than one, an intra edge of weight
+# inner_weight between adjacent slots, and a shuttle edge (above the threshold).
 INTRA_EDGE, ADJACENT_EDGE, SHUTTLE_EDGE = 0, 1, 2
 
-# EDGE_KINDS[edge class][occupied endpoints]: the generic swap the edge allows
+# EDGE_KINDS[edge class][occupied endpoints]: the generic swap the edge allows.
+# Two qubits may swap on any intra edge; a qubit and a space may exchange on
+# an adjacent intra edge (a space shift) or on a shuttle edge (a shuttle).
 EDGE_KINDS = (
     (EdgeKind.INVALID, EdgeKind.INVALID, EdgeKind.QUBIT_SWAP),
     (EdgeKind.INVALID, EdgeKind.SPACE_SHIFT, EdgeKind.QUBIT_SWAP),
     (EdgeKind.INVALID, EdgeKind.SHUTTLE, EdgeKind.INVALID),
 )
 VALID_SWAP = np.array([[k is not EdgeKind.INVALID for k in row] for row in EDGE_KINDS])
-
-
-class NodeContent(enum.Enum):
-    QUBIT = "qubit"
-    SPACE = "space"
 
 
 @dataclass(frozen=True)
@@ -178,14 +176,14 @@ class DeviceGraph:
             if old is None or _path_cost(path) < _path_cost(old):
                 self.trap_paths[key] = path
 
-        self._edge_index: dict[tuple[int, int], Edge] = {}
+        self.edges: list[Edge] = []
         for trap in topology.traps:
             slots = self.trap_slots[trap.id]
             for i in range(len(slots)):
                 for j in range(i + 1, len(slots)):
                     d = j - i
-                    self._edge_index[(slots[i], slots[j])] = Edge(
-                        slots[i], slots[j], params.inner_weight * d, is_shuttle=False, distance=d)
+                    self.edges.append(Edge(slots[i], slots[j], params.inner_weight * d,
+                                           is_shuttle=False, distance=d))
         for path in self.trap_paths.values():
             w = params.shuttle_base * (len(path.junctions) + 1)
             ends_a = self._end_slots(path.trap_a)
@@ -193,19 +191,19 @@ class DeviceGraph:
             for u in ends_a:
                 for v in ends_b:
                     a, b = (u, v) if u < v else (v, u)
-                    self._edge_index[(a, b)] = Edge(a, b, w, is_shuttle=True,
-                                                    segments=path.segments,
-                                                    junctions=path.junctions)
-        self.edges: list[Edge] = list(self._edge_index.values())
+                    self.edges.append(Edge(a, b, w, is_shuttle=True, segments=path.segments,
+                                           junctions=path.junctions))
+        # (u, v) with u < v -> index into ``edges`` and the per-edge arrays
+        self._edge_index = {(e.u, e.v): i for i, e in enumerate(self.edges)}
 
         self.adjacency: list[list[Edge]] = [[] for _ in range(self.n_nodes)]
         for e in self.edges:
             self.adjacency[e.u].append(e)
             self.adjacency[e.v].append(e)
 
-        # static per-edge arrays, in edge order, for the scheduler's vectorised
-        # candidate scan: endpoints, weights, and the class that with the number
-        # of occupied endpoints decides the edge's kind (see ``EDGE_KINDS``)
+        # static per-edge arrays, in edge order: endpoints, weights, and the
+        # class that with the number of occupied endpoints decides the edge's
+        # kind (see ``EDGE_KINDS``)
         self.edge_u = np.array([e.u for e in self.edges], dtype=np.intp)
         self.edge_v = np.array([e.v for e in self.edges], dtype=np.intp)
         self.edge_weight = np.array([e.weight for e in self.edges], dtype=float)
@@ -218,15 +216,14 @@ class DeviceGraph:
         slots = self.trap_slots[trap_id]
         return slots[0], slots[-1]
 
-    def edge(self, u: int, v: int) -> Edge:
+    def edge_id(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
         if key not in self._edge_index:
             raise KeyError(f"no edge between nodes {u} and {v}")
         return self._edge_index[key]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_index
+    def edge(self, u: int, v: int) -> Edge:
+        return self.edges[self.edge_id(u, v)]
 
     def is_end_slot(self, node: int) -> bool:
         cap = self.topology.trap(self.node_trap[node]).capacity
@@ -235,29 +232,6 @@ class DeviceGraph:
 
 def to_graph(topology: Topology, params: WeightParams | None = None) -> DeviceGraph:
     return DeviceGraph(topology, params or WeightParams())
-
-
-def classify_edge(graph: DeviceGraph, u: int, v: int,
-                  occupancy: dict[int, NodeContent],
-                  for_gate: bool = False) -> EdgeKind:
-    """Classify the interchange allowed along edge (u, v) under an occupancy.
-
-    With ``for_gate=True`` a below-threshold qubit/qubit edge reads as a
-    two-qubit gate site instead of a SWAP; the two share a precondition and
-    differ only in intent.
-    """
-    edge = graph.edge(u, v)
-    cu, cv = occupancy[u], occupancy[v]
-    below = edge.weight <= graph.params.threshold
-    if below and cu is NodeContent.QUBIT and cv is NodeContent.QUBIT:
-        return EdgeKind.TWO_QUBIT_GATE_SITE if for_gate else EdgeKind.QUBIT_SWAP
-    if not below and (cu is NodeContent.SPACE) != (cv is NodeContent.SPACE):
-        return EdgeKind.SHUTTLE
-    if below and (cu is NodeContent.SPACE) != (cv is NodeContent.SPACE):
-        if edge.weight == graph.params.inner_weight:
-            return EdgeKind.SPACE_SHIFT
-        return EdgeKind.INVALID
-    return EdgeKind.INVALID
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ import random
 from dataclasses import dataclass
 
 from .circuit import Circuit, build_dag
-from .device import (DeviceGraph, EdgeKind, WeightParams, linear_topology, to_graph)
-from .events import EventKind, EventRecord
+from .device import EDGE_KINDS, DeviceGraph, EdgeKind, WeightParams, linear_topology, to_graph
 from .scheduler import Schedule
-from .state import HeatParams, MachineState
+from .state import HeatParams, MachineState, run_ready_gates
 from .costmodel import CostParams, Metrics, evaluate
 
 
@@ -62,10 +61,13 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
     all_gates = frozenset(g.id for g in circuit.gates)
 
     base = MachineState(graph, mapping, heat)
-    threshold = graph.params.threshold
+    node_trap = graph.node_trap
+    edge_class = graph.edge_class.tolist()
 
     def run_free_gates(slots: tuple, executed: frozenset) -> frozenset:
-        """Close under free gate execution (occupancy is unaffected)."""
+        """Close under free gate execution (occupancy is unaffected): a gate
+        runs once its predecessors have and its qubits share a trap, the rule
+        of ``run_ready_gates`` read from the search's slot tuples."""
         node_of = {q: i for i, q in enumerate(slots) if q is not None}
         changed = True
         done = set(executed)
@@ -74,25 +76,12 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
             for g in circuit.gates:
                 if g.id in done or not preds[g.id] <= done:
                     continue
-                if g.is_two_qubit:
-                    na, nb = node_of[g.qubits[0]], node_of[g.qubits[1]]
-                    if not graph.has_edge(na, nb) or graph.edge(na, nb).weight > threshold:
-                        continue
+                if g.is_two_qubit and \
+                        node_trap[node_of[g.qubits[0]]] != node_trap[node_of[g.qubits[1]]]:
+                    continue
                 done.add(g.id)
                 changed = True
         return frozenset(done)
-
-    def occupancy_kind(slots, e):
-        qu, qv = slots[e.u], slots[e.v]
-        below = e.weight <= threshold
-        if below and qu is not None and qv is not None:
-            return EdgeKind.QUBIT_SWAP
-        if not below and (qu is None) != (qv is None):
-            return EdgeKind.SHUTTLE
-        if below and (qu is None) != (qv is None) \
-                and e.weight == graph.params.inner_weight:
-            return EdgeKind.SPACE_SHIFT
-        return None
 
     start_slots = tuple(base.slot_qubit)
     start_exec = run_free_gates(start_slots, frozenset())
@@ -109,9 +98,9 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
             return _replay_path(circuit, graph, mapping, heat, path)
         if len(path) >= limits.max_depth:
             continue
-        for e in graph.edges:
-            kind = occupancy_kind(slots, e)
-            if kind is None:
+        for e, cls in zip(graph.edges, edge_class):
+            kind = EDGE_KINDS[cls][(slots[e.u] is not None) + (slots[e.v] is not None)]
+            if kind is EdgeKind.INVALID:
                 continue
             new_slots = list(slots)
             new_slots[e.u], new_slots[e.v] = new_slots[e.v], new_slots[e.u]
@@ -135,39 +124,10 @@ def _replay_path(circuit, graph, mapping, heat, path) -> Schedule:
     state = MachineState(graph, mapping, heat)
     dag = build_dag(circuit)
     events = []
-
-    def drain():
-        progress = True
-        while progress:
-            progress = False
-            for gid in sorted(dag.frontier):
-                g = dag.gates[gid]
-                if g.is_two_qubit:
-                    na, nb = state.mapping[g.qubits[0]], state.mapping[g.qubits[1]]
-                    if not graph.has_edge(na, nb) or \
-                            state.classify(na, nb, for_gate=True) is not EdgeKind.TWO_QUBIT_GATE_SITE:
-                        continue
-                    trap = graph.node_trap[na]
-                    events.append(EventRecord(
-                        EventKind.GATE, qubits=g.qubits, gate_id=gid, label=g.label,
-                        slots=(na, nb), traps=(trap,),
-                        chain_ions=state.chain_length(trap),
-                        ion_dist=state.ion_distance(*g.qubits)))
-                else:
-                    node = state.mapping[g.qubits[0]]
-                    trap = graph.node_trap[node]
-                    events.append(EventRecord(
-                        EventKind.GATE, qubits=g.qubits, gate_id=gid, label=g.label,
-                        slots=(node,), traps=(trap,),
-                        chain_ions=state.chain_length(trap)))
-                dag.pop(gid)
-                progress = True
-
-    drain()
+    run_ready_gates(state, dag, events)
     for u, v in path:
         events.append(state.apply_generic_swap(graph.edge(u, v)))
-        drain()
-    assert len(dag) == 0
+        run_ready_gates(state, dag, events)
     return Schedule(events, circuit, graph, dict(mapping), heat)
 
 

@@ -1,12 +1,18 @@
 """Generic-swap shuttling scheduler.
 
-Outer loop: execute every executable frontier gate; when the frontier is
-blocked, score every valid generic swap (SWAP gate, space shift, shuttle)
-against a temporary state and apply the cheapest one.  A swap's score is the
-best frontier gate's truncated path distance plus a penalty for traps left
-without free space, decayed for recently-moved qubits, plus the swap's own
-edge weight.  The cheapest is the smallest key ``(score, undo, u, v)``, where
-``undo`` marks the edge just applied.
+Outer loop: run every ready gate whose qubits share a trap
+(``state.run_ready_gates``); when the frontier is blocked, score every valid
+generic swap (SWAP gate, space shift, shuttle) and apply the cheapest one.
+What an edge allows, where qubits sit and what a move does all come from
+``MachineState``; this module only decides which move to make.
+
+A swap's score is the best frontier gate's truncated path distance plus a
+penalty for traps left without free space, decayed for recently-moved
+qubits, under the post-swap mapping.  The cheapest swap has the smallest key
+``(score + own edge weight, undo, u, v)``, where ``undo`` marks the edge just
+applied.  It is applied only if its score alone is below the current
+frontier score; the weight is left out of that test because adding it and
+taking it off again rounds, which let no-op swaps pass as progress.
 
 The candidate scan is one mask over static per-edge arrays: the graph fixes
 each edge's class (intra, adjacent intra, shuttle) once, the state keeps a
@@ -30,10 +36,11 @@ space to a trap end so a shuttle becomes legal) never lower any gate's
 score, and the candidate loop can cycle through no-op shifts.  Whenever the
 best candidate fails to strictly improve the frontier score, the scheduler
 falls back to an explicit deterministic routing plan for the lowest-id
-blocked gate: free a space in each trap along the route (cascading an
-eviction out of full traps when needed), walk the moving qubit to a trap
-end, and shuttle it hop by hop.  The plan is emitted one generic swap per
-outer iteration, so schedules stay replayable and deterministic.
+blocked gate, made on a scratch ``MachineState``: free a space in each trap
+along the route (cascading an eviction out of full traps when needed), walk
+the moving qubit to a trap end, and shuttle it hop by hop.  The plan is
+emitted one generic swap per outer iteration, so schedules stay replayable
+and deterministic.
 """
 
 from __future__ import annotations
@@ -46,10 +53,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .circuit import Circuit, DepGraph, build_dag
+from .circuit import Circuit, build_dag
 from .device import EDGE_KINDS, SHUTTLE_EDGE, VALID_SWAP, DeviceGraph, Edge, EdgeKind
 from .events import EventKind, EventRecord
-from .state import HeatParams, MachineState
+from .state import HeatParams, MachineState, run_ready_gates
 
 
 # A scan scores len(candidates) x len(frontier) pairs.  From this many pairs
@@ -72,7 +79,9 @@ class SchedulerParams:
             raise ValueError("delta must be >= 0 and m >= 1")
 
 
-class SchedulerStuck(RuntimeError):
+class SchedulerStuck(ValueError):
+    """Routing hit the per-gate swap cap without running a gate."""
+
     def __init__(self, frontier, iterations):
         super().__init__(
             f"no progress after {iterations} generic swaps; stuck frontier: {sorted(frontier)}")
@@ -173,11 +182,15 @@ def _penalty_change(edge: Edge, state: MachineState) -> int:
 
 def heuristic_h(edge: Edge, kind: EdgeKind, state: MachineState, frontier_gates,
                 dist, pen_unit: float = 1.0, norm: float = 1.0) -> float:
-    """Score of applying one candidate swap: min over frontier gates of
-    decay * (distance under the post-swap mapping + penalty) + edge weight.
+    """Frontier score after applying one candidate swap: min over frontier
+    gates of decay * (distance under the post-swap mapping + penalty).
 
-    All terms are divided by ``norm`` (usually shuttle_base) so that scaling
-    every device weight by a common factor reproduces the same floats."""
+    The swap's own weight is not included: ``schedule`` adds
+    ``edge.weight / norm`` to rank candidates, and compares this score alone
+    with the current one to decide whether the swap improves anything.
+    ``dist`` and ``pen_unit`` are in units of the shuttle base weight, so
+    scaling every device weight by a common factor reproduces the same
+    floats; ``norm`` is that unit and the score does not use it."""
     # temporary mapping: only the moved qubit(s) change slots
     moved: dict[int, int] = {}
     qu, qv = state.slot_qubit[edge.u], state.slot_qubit[edge.v]
@@ -199,12 +212,11 @@ def heuristic_h(edge: Edge, kind: EdgeKind, state: MachineState, frontier_gates,
         score = (dist[s1][s2] + pen) * decay_factor
         if score < best:
             best = score
-    return best + edge.weight / norm
+    return best
 
 
 def heuristic_scores(cand: np.ndarray, state: MachineState, graph: DeviceGraph,
-                     frontier_gates, dist: np.ndarray, pen_unit: float = 1.0,
-                     norm: float = 1.0) -> np.ndarray:
+                     frontier_gates, dist: np.ndarray, pen_unit: float = 1.0) -> np.ndarray:
     """``heuristic_h`` of every candidate edge index in ``cand`` at once.
 
     Same operations in the same order on float64, so each score equals the
@@ -222,8 +234,7 @@ def heuristic_scores(cand: np.ndarray, state: MachineState, graph: DeviceGraph,
         pen_count[k] += _penalty_change(graph.edges[cand[k]], state)
     pen = pen_count * pen_unit
 
-    best = ((dist[moved[..., 0], moved[..., 1]] + pen[:, None]) * decay_factor).min(axis=1)
-    return best + graph.edge_weight[cand] / norm
+    return ((dist[moved[..., 0], moved[..., 1]] + pen[:, None]) * decay_factor).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +253,12 @@ def _trap_adjacency(graph: DeviceGraph) -> dict[int, list[tuple[int, float]]]:
 
 
 def _trap_route(adj, src: int, dst: int) -> tuple[float, list[int]]:
-    """Cheapest trap-level route, ties broken by lexicographic trap sequence."""
+    """Cheapest trap-level route, ties broken by lexicographic trap sequence.
+
+    ``Topology`` rejects disconnected devices, so the route exists."""
     best: dict[int, tuple[float, tuple[int, ...]]] = {src: (0.0, (src,))}
     heap = [(0.0, (src,))]
-    while heap:
+    while True:
         cost, path = heapq.heappop(heap)
         here = path[-1]
         if best.get(here, (np.inf, ())) < (cost, path):
@@ -257,68 +270,46 @@ def _trap_route(adj, src: int, dst: int) -> tuple[float, list[int]]:
             if nb not in best or cand < best[nb]:
                 best[nb] = cand
                 heapq.heappush(heap, cand)
-    raise RuntimeError(f"traps {src} and {dst} are disconnected")
 
 
 class _EscapePlanner:
     """Builds an edge sequence that makes one blocked gate executable.
 
-    Works on a private copy of the occupancy so planning never disturbs the
-    live state; the returned edges are applied one per scheduler iteration.
+    Plans on a scratch ``MachineState`` so planning never disturbs the live
+    state; the returned edges are applied one per scheduler iteration.
     """
 
     def __init__(self, state: MachineState, graph: DeviceGraph, trap_adj):
         self.graph = graph
         self.adj = trap_adj
-        self.slot_qubit = list(state.slot_qubit)
-        self.mapping = dict(state.mapping)
-        self.space_count = dict(state.space_count)
+        self.state = MachineState(graph, state.mapping)
         self.plan: list[tuple[int, int]] = []
 
-    def _exchange(self, u: int, v: int):
-        g = self.graph
-        qu, qv = self.slot_qubit[u], self.slot_qubit[v]
-        assert (qu is None) != (qv is None) or (qu is not None and qv is not None)
-        self.slot_qubit[u], self.slot_qubit[v] = qv, qu
-        if qu is not None:
-            self.mapping[qu] = v
-        if qv is not None:
-            self.mapping[qv] = u
-        tu, tv = g.node_trap[u], g.node_trap[v]
-        if tu != tv:
-            src_trap = tu if qu is not None else tv
-            dst_trap = tv if qu is not None else tu
-            self.space_count[src_trap] += 1
-            self.space_count[dst_trap] -= 1
+    def _move(self, u: int, v: int):
+        self.state._exchange(u, v)
         self.plan.append((u, v))
-
-    def _spaces_in(self, trap: int) -> list[int]:
-        g = self.graph
-        return sorted(g.node_pos[n] for n in g.trap_slots[trap]
-                      if self.slot_qubit[n] is None)
 
     def _shift_space_to(self, trap: int, end_pos: int):
         """Walk the space nearest to end_pos out to that end slot."""
         slots = self.graph.trap_slots[trap]
-        spaces = self._spaces_in(trap)
-        sp = min(spaces, key=lambda p: (abs(p - end_pos), p))
+        sp = min(self.state.spaces[trap], key=lambda p: (abs(p - end_pos), p))
         step = 1 if sp < end_pos else -1
         for p in range(sp, end_pos, step):
-            self._exchange(slots[p], slots[p + step])
+            self._move(slots[p], slots[p + step])
 
     def _walk_qubit_to(self, q: int, target_pos: int):
         g = self.graph
-        trap = g.node_trap[self.mapping[q]]
+        trap = g.node_trap[self.state.mapping[q]]
         slots = g.trap_slots[trap]
-        cur = g.node_pos[self.mapping[q]]
+        cur = g.node_pos[self.state.mapping[q]]
         step = 1 if cur < target_pos else -1
         for p in range(cur, target_pos, step):
-            self._exchange(slots[p], slots[p + step])
+            self._move(slots[p], slots[p + step])
 
     def _dest_end(self, trap: int) -> int:
         """End position to receive a shuttle; shifts a space there if needed."""
         cap = len(self.graph.trap_slots[trap])
-        spaces = self._spaces_in(trap)
+        spaces = self.state.spaces[trap]
         if 0 in spaces:
             return 0
         if cap - 1 in spaces:
@@ -336,7 +327,7 @@ class _EscapePlanner:
         goal = None
         while queue:
             t = queue.popleft()
-            if self.space_count[t] > 0:
+            if self.state.space_count[t] > 0:
                 goal = t
                 break
             for nb, _ in self.adj[t]:
@@ -357,35 +348,35 @@ class _EscapePlanner:
             slots = self.graph.trap_slots[give]
             ends = [0, len(slots) - 1]
             pick = None
+            slot_qubit = self.state.slot_qubit
             for e in ends:
-                q = self.slot_qubit[slots[e]]
+                q = slot_qubit[slots[e]]
                 if q is not None and q not in protected:
                     pick = e
                     break
             if pick is None:
                 # a protected qubit sits at each usable end: tuck one inward
                 e = ends[0]
-                self._exchange(slots[0], slots[1])
-                pick = 0 if self.slot_qubit[slots[0]] is not None else None
-                if pick is None or self.slot_qubit[slots[0]] in protected:
+                self._move(slots[0], slots[1])
+                pick = 0 if slot_qubit[slots[0]] is not None else None
+                if pick is None or slot_qubit[slots[0]] in protected:
                     pick = len(slots) - 1
-            self._exchange(slots[pick], self.graph.trap_slots[recv][dst])
+            self._move(slots[pick], self.graph.trap_slots[recv][dst])
 
     def route(self, mover: int, stay: int) -> list[tuple[int, int]]:
-        g = self.graph
-        route = _trap_route(self.adj, g.node_trap[self.mapping[mover]],
-                            g.node_trap[self.mapping[stay]])[1]
+        g, mapping = self.graph, self.state.mapping
+        route = _trap_route(self.adj, g.node_trap[mapping[mover]], g.node_trap[mapping[stay]])[1]
         protected = {mover, stay}
         for t_next in route[1:]:
-            t_cur = g.node_trap[self.mapping[mover]]
-            if self.space_count[t_next] == 0:
+            t_cur = g.node_trap[mapping[mover]]
+            if self.state.space_count[t_next] == 0:
                 self._make_space_in(t_next, protected)
             dst = self._dest_end(t_next)
             cap = len(g.trap_slots[t_cur])
-            pos = g.node_pos[self.mapping[mover]]
+            pos = g.node_pos[mapping[mover]]
             src = 0 if pos <= (cap - 1) / 2 else cap - 1
             self._walk_qubit_to(mover, src)
-            self._exchange(g.trap_slots[t_cur][src], g.trap_slots[t_next][dst])
+            self._move(g.trap_slots[t_cur][src], g.trap_slots[t_next][dst])
         return self.plan
 
 
@@ -440,39 +431,6 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
     pending: deque[tuple[int, int]] = deque()
     pending_gate: int | None = None
 
-    def try_execute() -> bool:
-        """Execute every currently executable frontier gate; loop to fixpoint."""
-        ran_any = False
-        progress = True
-        while progress:
-            progress = False
-            for gid in sorted(dag.frontier):
-                g = dag.gates[gid]
-                if g.is_two_qubit:
-                    na, nb = state.mapping[g.qubits[0]], state.mapping[g.qubits[1]]
-                    if not graph.has_edge(na, nb) or \
-                            state.classify(na, nb, for_gate=True) is not EdgeKind.TWO_QUBIT_GATE_SITE:
-                        continue
-                    trap = graph.node_trap[na]
-                    events.append(EventRecord(
-                        EventKind.GATE, qubits=g.qubits, gate_id=gid, label=g.label,
-                        slots=(na, nb), traps=(trap,),
-                        chain_ions=state.chain_length(trap),
-                        ion_dist=state.ion_distance(*g.qubits)))
-                    for q in g.qubits:
-                        remaining_uses[q] -= 1
-                else:
-                    node = state.mapping[g.qubits[0]]
-                    trap = graph.node_trap[node]
-                    events.append(EventRecord(
-                        EventKind.GATE, qubits=g.qubits, gate_id=gid, label=g.label,
-                        slots=(node,), traps=(trap,),
-                        chain_ions=state.chain_length(trap)))
-                dag.pop(gid)
-                progress = True
-                ran_any = True
-        return ran_any
-
     def apply_edge(e: Edge):
         nonlocal iteration, prev_edge, swaps_since_gate
         ev = state.apply_generic_swap(e)
@@ -485,14 +443,17 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
             raise SchedulerStuck(dag.frontier, iteration)
 
     while len(dag):
-        if try_execute():
+        ran = run_ready_gates(state, dag, events)
+        if ran:
+            for ev in events[-ran:]:
+                if ev.is_two_qubit_gate:
+                    for q in ev.qubits:
+                        remaining_uses[q] -= 1
             swaps_since_gate = 0
             if pending_gate is not None and pending_gate not in dag.frontier:
                 pending.clear()
                 pending_gate = None
             continue
-        if not len(dag):
-            break
 
         if pending:
             apply_edge(graph.edge(*pending.popleft()))
@@ -511,13 +472,15 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
                           for q1, q2, f in frontier_gates)
 
         # one candidates() call per scan, looked up at call time: the
-        # benchmark's tracer wraps it to count heuristic scans
+        # benchmark's tracer wraps it to count heuristic scans.  ``scored``
+        # holds (score, score + own weight, edge); the numpy path keeps only
+        # the candidates tied at the smallest score + weight
         cand = candidates(state, graph)
         if len(cand) * len(frontier_gates) >= VECTOR_MIN_PAIRS:
-            h = heuristic_scores(cand, state, graph, frontier_gates, dist_array,
-                                 pen_unit, norm)
-            h_min = h.min()
-            scored = [(float(h_min), graph.edges[i]) for i in cand[h == h_min].tolist()]
+            raw = heuristic_scores(cand, state, graph, frontier_gates, dist_array, pen_unit)
+            h = raw + graph.edge_weight[cand] / norm
+            scored = [(float(raw[k]), float(h[k]), graph.edges[cand[k]])
+                      for k in np.flatnonzero(h == h.min()).tolist()]
         else:
             scored = []
             slot_qubit = state.slot_qubit
@@ -525,21 +488,14 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
                 e = graph.edges[i]
                 occupied = (slot_qubit[e.u] is not None) + (slot_qubit[e.v] is not None)
                 kind = EDGE_KINDS[edge_class[i]][occupied]
-                scored.append((heuristic_h(e, kind, state, frontier_gates, dist,
-                                           pen_unit, norm), e))
-        best_key = None
-        best_edge = None
-        for h_e, e in scored:
-            undo = 1 if prev_edge == (e.u, e.v) else 0
-            key = (h_e, undo, e.u, e.v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_edge = e
-
-        improving = best_edge is not None and \
-            best_key[0] - best_edge.weight / norm < current_min
-        if improving:
-            apply_edge(best_edge)
+                r = heuristic_h(e, kind, state, frontier_gates, dist, pen_unit, norm)
+                scored.append((r, r + e.weight / norm, e))
+        best = min(scored, default=None,
+                   key=lambda t: (t[1], prev_edge == (t[2].u, t[2].v), t[2].u, t[2].v))
+        # improving means the score alone drops: adding the weight and taking
+        # it off again rounds, and would let a no-op swap pass as progress
+        if best is not None and best[0] < current_min:
+            apply_edge(best[2])
             continue
 
         # plateau: no candidate lowers the frontier score; route the lowest-id

@@ -1,8 +1,18 @@
-"""Dynamic machine state: qubit placement, free spaces, and accumulated heat.
+"""The machine-state kernel: qubit placement, free spaces, accumulated heat,
+and the rules that read them.
 
-One compile job owns one MachineState; every structural change goes through
-``apply_generic_swap`` so the mapping, occupancy, space recorder, and
-per-trap motional quanta stay consistent with each other.
+A generic swap on an edge is a SWAP gate, a space shift or a shuttle
+depending only on the edge and on which endpoints hold ions.  The graph fixes
+each edge's class once; ``MachineState`` keeps a 0/1 occupancy per slot, and
+``classify`` looks the kind up in ``EDGE_KINDS``.  A two-qubit gate can run
+exactly when its qubits share a trap (``co_trapped``), and
+``run_ready_gates`` is the one routine that runs ready gates.
+
+One compile job owns one MachineState.  Every structural change goes through
+``_exchange``, called by ``apply_generic_swap`` for real moves and by the
+scheduler's escape planner on a scratch state, so the mapping, occupancy and
+space recorder stay consistent with each other; ``apply_generic_swap`` also
+adds the per-trap motional quanta and returns the event.
 """
 
 from __future__ import annotations
@@ -11,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceGraph, Edge, EdgeKind, NodeContent, classify_edge
+from .circuit import DepGraph
+from .device import EDGE_KINDS, DeviceGraph, Edge, EdgeKind
 from .events import EventKind, EventRecord
 
 
@@ -28,35 +39,25 @@ class HeatParams:
     dest_fraction: float = 1.0
 
 
-class _OccupancyView:
-    """Read-only node -> NodeContent view over the slot array."""
-
-    def __init__(self, slot_qubit):
-        self._slot_qubit = slot_qubit
-
-    def __getitem__(self, node: int) -> NodeContent:
-        return NodeContent.SPACE if self._slot_qubit[node] is None else NodeContent.QUBIT
-
-
 class MachineState:
     def __init__(self, graph: DeviceGraph, mapping: dict[int, int],
                  heat: HeatParams | None = None):
         self.graph = graph
         self.heat = heat or HeatParams()
-        self.slot_qubit: list[int | None] = [None] * graph.n_nodes
-        self.mapping: dict[int, int] = {}
+        slot_qubit: list[int | None] = [None] * graph.n_nodes
         for q, node in mapping.items():
-            if self.slot_qubit[node] is not None:
+            if slot_qubit[node] is not None:
                 raise ValueError(f"slot {node} assigned twice in the initial mapping")
-            self.slot_qubit[node] = q
-            self.mapping[q] = node
-        self.occupancy = _OccupancyView(self.slot_qubit)
-        # 0/1 per slot, for the scheduler's vectorised candidate scan
-        self.occupied = np.array([q is not None for q in self.slot_qubit], dtype=np.intp)
+            slot_qubit[node] = q
+        self.slot_qubit = slot_qubit
+        self.mapping: dict[int, int] = dict(mapping)
+        # 0/1 per slot: with the graph's static edge classes it decides every
+        # edge's kind, one lookup per edge (see ``classify``)
+        self.occupied = np.array([q is not None for q in slot_qubit], dtype=np.intp)
         self.spaces: dict[int, set[int]] = {}
         self.space_count: dict[int, int] = {}
         for trap_id, slots in graph.trap_slots.items():
-            poss = {graph.node_pos[n] for n in slots if self.slot_qubit[n] is None}
+            poss = {pos for pos, n in enumerate(slots) if slot_qubit[n] is None}
             self.spaces[trap_id] = poss
             self.space_count[trap_id] = len(poss)
         self.nbar: dict[int, float] = {t.id: 0.0 for t in graph.topology.traps}
@@ -78,10 +79,15 @@ class MachineState:
         slots = self.graph.trap_slots[ta]
         return sum(1 for p in range(lo + 1, hi) if self.slot_qubit[slots[p]] is not None)
 
-    def classify(self, u: int, v: int, for_gate: bool = False) -> EdgeKind:
-        return classify_edge(self.graph, u, v, self.occupancy, for_gate=for_gate)
+    def classify(self, u: int, v: int) -> EdgeKind:
+        """The generic swap edge (u, v) allows now; KeyError if there is no edge."""
+        occ = self.occupied
+        return EDGE_KINDS[self.graph.edge_class[self.graph.edge_id(u, v)]][occ[u] + occ[v]]
 
     def co_trapped(self, qa: int, qb: int) -> bool:
+        """Whether a two-qubit gate on qa and qb can run now.  Every slot pair
+        in a trap has an intra edge and every shuttle edge lies above the
+        threshold, so this is the same as the pair's edge allowing a gate."""
         na, nb = self.mapping[qa], self.mapping[qb]
         return self.graph.node_trap[na] == self.graph.node_trap[nb]
 
@@ -143,7 +149,6 @@ class MachineState:
                 src_node, dst_node = edge.v, edge.u
             q = self.slot_qubit[src_node]
             src, dst = self.graph.node_trap[src_node], self.graph.node_trap[dst_node]
-            assert self.slot_qubit[dst_node] is None
             self._exchange(edge.u, edge.v)
             h = self.heat
             self.nbar[dst] += h.dest_fraction * h.k1 + h.k2 * edge.segments
@@ -172,13 +177,29 @@ class MachineState:
             assert len(poss) == self.space_count[trap_id]
 
 
-def chain_length(state: MachineState, trap_id: int) -> int:
-    return state.chain_length(trap_id)
+def run_ready_gates(state: MachineState, dag: DepGraph, events: list[EventRecord]) -> int:
+    """Run every ready gate whose qubits share a trap, appending its event.
 
-
-def ion_distance(state: MachineState, qa: int, qb: int) -> int:
-    return state.ion_distance(qa, qb)
-
-
-def apply_generic_swap(state: MachineState, edge: Edge) -> tuple[MachineState, EventRecord]:
-    return state, state.apply_generic_swap(edge)
+    Passes over the frontier in ascending gate id until a pass runs nothing,
+    so a gate promoted during a pass runs in the next one.  Gates change no
+    placement, so the order only fixes the event list.  Returns how many ran.
+    """
+    mapping, node_trap = state.mapping, state.graph.node_trap
+    ran = 0
+    progress = True
+    while progress:
+        progress = False
+        for gid in sorted(dag.frontier):
+            g = dag.gates[gid]
+            if g.is_two_qubit and not state.co_trapped(*g.qubits):
+                continue
+            slots = tuple(mapping[q] for q in g.qubits)
+            trap = node_trap[slots[0]]
+            events.append(EventRecord(
+                EventKind.GATE, qubits=g.qubits, gate_id=gid, label=g.label, slots=slots,
+                traps=(trap,), chain_ions=state.chain_length(trap),
+                ion_dist=state.ion_distance(*g.qubits) if g.is_two_qubit else 0))
+            dag.pop(gid)
+            progress = True
+            ran += 1
+    return ran

@@ -1,10 +1,14 @@
-"""Independent schedule replay checker.
+"""Schedule replay checker.
 
 Rebuilds machine state from the initial mapping and walks the event list,
 checking at every step that gates run on co-trapped qubits, per-qubit gate
-order matches the circuit, capacities hold, no qubit appears or vanishes,
-and per-trap heat never decreases.  Deliberately avoids the scheduler's own
-data structures beyond the state container.
+order matches the circuit, each inserted move is the generic swap its edge
+allows at that point, capacities hold, no qubit appears or vanishes, and
+per-trap heat never decreases.  It shares ``MachineState`` and its edge-kind
+table with the scheduler, so it checks the event list against that kernel,
+not the kernel itself: ``tests/test_scan_equivalence.py`` checks the table
+against the weight rule, and ``benchmarks/checker.py`` re-walks schedules
+without ``MachineState`` at all.
 """
 
 from __future__ import annotations

@@ -113,16 +113,11 @@ def test_heat_accumulates_into_fidelity():
     assert all(te.fidelity is not None and te.fidelity < 1.0 for te in heated)
 
 
-def test_background_heat_switch_only_lowers_fidelity():
-    s = make_schedule()
-    base = evaluate(s, CostParams())
-    hot = evaluate(s, CostParams(integrate_background_heat=True))
-    assert hot.success_rate <= base.success_rate
-    assert hot.makespan_us == base.makespan_us  # timing is unaffected
-
-
 def test_cost_params_validation():
     with pytest.raises(ValueError):
         CostParams(single_qubit_fidelity=0.0)
     with pytest.raises(ValueError):
         CostParams(move_us=-1.0)
+    with pytest.raises(ValueError):
+        # a negative SWAP duration would start later events before time 0
+        CostParams(swap_gate_multiplier=-1)

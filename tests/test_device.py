@@ -1,8 +1,7 @@
 import pytest
 
-from qccdc import (EdgeKind, NodeContent, WeightParams, classify_edge,
-                   grid_topology, linear_topology, parse_topology_spec,
-                   star_topology, to_graph, topology_from_json)
+from qccdc import (EdgeKind, MachineState, WeightParams, grid_topology, linear_topology,
+                   parse_topology_spec, star_topology, to_graph, topology_from_json)
 
 
 def test_linear_structure():
@@ -60,19 +59,22 @@ def test_shuttle_edges_connect_end_slots_only():
 
 def test_classify_rules():
     g = to_graph(linear_topology(2, 3), WeightParams())
-    Q, S = NodeContent.QUBIT, NodeContent.SPACE
-    occ = {0: Q, 1: Q, 2: S, 3: Q, 4: Q, 5: S}
-    # rule 1/2: below-threshold edge, both qubits
-    assert classify_edge(g, 0, 1, occ, for_gate=True) is EdgeKind.TWO_QUBIT_GATE_SITE
-    assert classify_edge(g, 0, 1, occ) is EdgeKind.QUBIT_SWAP
+    # slots 0 1 2 | 3 4 5 hold q0 q1 _ | q2 q3 _
+    s = MachineState(g, {0: 0, 1: 1, 2: 3, 3: 4})
+    # rule 1/2: below-threshold edge, both qubits: a SWAP, and a gate may run
+    assert s.classify(0, 1) is EdgeKind.QUBIT_SWAP
+    assert s.co_trapped(0, 1) and s.co_trapped(2, 3)
+    # qubits on the two ends of a shuttle edge neither swap nor run a gate
+    assert s.classify(0, 3) is EdgeKind.INVALID
+    assert not s.co_trapped(0, 2)
     # rule 3: above-threshold edge, exactly one space
-    assert classify_edge(g, 2, 3, occ) is EdgeKind.SHUTTLE
+    assert s.classify(2, 3) is EdgeKind.SHUTTLE
     # rule 4: adjacent intra edge, one space
-    assert classify_edge(g, 1, 2, occ) is EdgeKind.SPACE_SHIFT
+    assert s.classify(1, 2) is EdgeKind.SPACE_SHIFT
     # non-adjacent intra edge with a space cannot shift
-    assert classify_edge(g, 0, 2, occ) is EdgeKind.INVALID
+    assert s.classify(0, 2) is EdgeKind.INVALID
     # shuttle edge with spaces at both ends is invalid
-    assert classify_edge(g, 2, 5, occ) is EdgeKind.INVALID
+    assert s.classify(2, 5) is EdgeKind.INVALID
 
 
 def test_weight_params_validation():

@@ -1,8 +1,10 @@
-"""The vectorised candidate scan and scorer against their scalar references.
+"""The edge-kind table, the vectorised scan and the scorer against references.
 
-``candidates`` masks static per-edge arrays and ``heuristic_scores`` scores
-all (candidate x frontier gate) pairs in numpy; ``MachineState.classify`` and
-``heuristic_h`` are the per-edge definitions they must reproduce exactly.
+``MachineState.classify`` and ``candidates`` read each edge's kind from the
+static ``EDGE_KINDS`` table; ``reference_kind`` below restates the rule from
+edge weights alone, independently of that table.  ``heuristic_scores``
+scores all (candidate x frontier gate) pairs in numpy; ``heuristic_h`` is the
+per-edge definition it must reproduce exactly.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -10,11 +12,27 @@ from hypothesis import strategies as st
 
 from qccdc import (EdgeKind, Junction, Path, Topology, Trap, WeightParams, distance_table,
                    grid_topology, star_topology, to_graph)
-from qccdc.device import EDGE_KINDS
 from qccdc.scheduler import candidates, heuristic_h, heuristic_scores
 from qccdc.state import MachineState
 
 GENERIC = (EdgeKind.QUBIT_SWAP, EdgeKind.SPACE_SHIFT, EdgeKind.SHUTTLE)
+
+
+def reference_kind(graph, u, v, slot_qubit):
+    """The generic swap on edge (u, v) from its weight and the occupancy: two
+    qubits swap on an edge at or below the threshold; a qubit and a space
+    shuttle on one above it, or shift on an intra edge of weight inner_weight
+    (adjacent slots); anything else is invalid."""
+    edge = graph.edge(u, v)
+    qu, qv = slot_qubit[u] is not None, slot_qubit[v] is not None
+    below = edge.weight <= graph.params.threshold
+    if below and qu and qv:
+        return EdgeKind.QUBIT_SWAP
+    if qu != qv and not below:
+        return EdgeKind.SHUTTLE
+    if qu != qv and edge.weight == graph.params.inner_weight:
+        return EdgeKind.SPACE_SHIFT
+    return EdgeKind.INVALID
 
 
 def chain(caps, hops, parallel=False):
@@ -84,7 +102,8 @@ def prepare(spec, occupancy, moves, gates, delta, scale):
     slots = [n for n, full in enumerate(occupancy) if full]
     state = MachineState(graph, dict(enumerate(slots)))
     for pick in moves:  # drive the occupancy array through apply_generic_swap
-        valid = [e for e in graph.edges if state.classify(e.u, e.v) in GENERIC]
+        valid = [e for e in graph.edges
+                 if reference_kind(graph, e.u, e.v, state.slot_qubit) in GENERIC]
         if valid:
             state.apply_generic_swap(valid[pick % len(valid)])
     state.check_consistency()
@@ -93,7 +112,8 @@ def prepare(spec, occupancy, moves, gates, delta, scale):
 
 
 def classify_loop(state, graph):
-    return [i for i, e in enumerate(graph.edges) if state.classify(e.u, e.v) in GENERIC]
+    return [i for i, e in enumerate(graph.edges)
+            if reference_kind(graph, e.u, e.v, state.slot_qubit) in GENERIC]
 
 
 # trap 0 full, trap 1 with one space at its receiving end: the shuttle both
@@ -109,9 +129,8 @@ def test_candidate_mask_equals_classify_loop(scan):
     graph, state, _ = prepare(*scan)
     found = candidates(state, graph)
     assert found.tolist() == classify_loop(state, graph)
-    for i, e in enumerate(graph.edges):
-        occupied = state.occupied[e.u] + state.occupied[e.v]
-        assert EDGE_KINDS[graph.edge_class[i]][occupied] is state.classify(e.u, e.v)
+    for e in graph.edges:
+        assert state.classify(e.u, e.v) is reference_kind(graph, e.u, e.v, state.slot_qubit)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -124,7 +143,7 @@ def test_vectorised_scores_equal_heuristic_h(scan):
     found = candidates(state, graph)
     if not len(found):
         return
-    fast = heuristic_scores(found, state, graph, frontier, dist, 1.0, norm).tolist()
+    fast = heuristic_scores(found, state, graph, frontier, dist, 1.0).tolist()
     slow = [heuristic_h(graph.edges[i], state.classify(graph.edges[i].u, graph.edges[i].v),
                         state, frontier, dist.tolist(), 1.0, norm) for i in found.tolist()]
     assert fast == slow
@@ -140,5 +159,6 @@ def test_full_to_one_example_moves_the_penalty():
     dist = distance_table(graph, 2).tolist()
     h = heuristic_h(shuttle, EdgeKind.SHUTTLE, state, frontier, dist)
     # q2 lands next to q3, one intra step apart, and the penalty stays at one
-    # spaceless trap: trap 0 gains a space (-1) and trap 1 fills up (+1)
-    assert h == (0.001 + 1) * 1.0 + shuttle.weight
+    # spaceless trap: trap 0 gains a space (-1) and trap 1 fills up (+1); the
+    # shuttle's own weight is not part of the score
+    assert h == (0.001 + 1) * 1.0

@@ -6,10 +6,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from qccdc import (Circuit, DecayTable, DeviceFull, EventKind, Gate, Junction,
-                   MappingParams, Path, SchedulerParams, Strategy, Topology, Trap,
-                   WeightParams, distance_table, grid_topology, initial_mapping,
-                   linear_topology, replay, schedule, star_topology, to_graph,
-                   topology_from_json)
+                   MappingParams, Path, SchedulerParams, SchedulerStuck, Strategy, Topology,
+                   Trap, WeightParams, distance_table, gen_benchmark, grid_topology,
+                   initial_mapping, linear_topology, replay, schedule, star_topology,
+                   to_graph, topology_from_json)
 from qccdc.bench import qft
 from qccdc.device import EDGE_KINDS
 from qccdc.scheduler import _trap_adjacency, candidates
@@ -224,3 +224,27 @@ def test_full_device_raises_device_full():
     with pytest.raises(DeviceFull, match="every trap is full"):
         schedule(c, g, m)
     assert issubclass(DeviceFull, ValueError)
+
+
+def test_junction_free_path_schedules():
+    """A path with no junctions gives shuttle weight 1.0, so a cross-trap gate
+    scores exactly 1.0.  Judging progress by adding a no-op swap's weight and
+    taking it off again rounded below 1.0, and routing livelocked to the swap
+    cap instead of calling the escape planner."""
+    topo = topology_from_json({"traps": [{"id": 0, "capacity": 6}, {"id": 1, "capacity": 7}],
+                               "paths": [{"trap_a": 0, "trap_b": 1}]})
+    g = to_graph(topo, WeightParams())
+    c = gen_benchmark("heisenberg", 6)
+    s = schedule(c, g, initial_mapping(c, g, MappingParams()))
+    assert not replay(s)
+    assert s.metrics["shuttles"] == 1
+
+
+def test_swap_cap_raises_a_value_error():
+    # slots 0 1 2 | 3 4 5 hold q1 q0 q2 | _ q3 _: q0 must reach an end of its
+    # full trap and then shuttle, two generic swaps before the gate can run
+    g = to_graph(linear_topology(2, 3), WeightParams())
+    c = Circuit(4, (Gate(0, "cx", (0, 3)),))
+    with pytest.raises(SchedulerStuck) as err:
+        schedule(c, g, {1: 0, 0: 1, 2: 2, 3: 4}, SchedulerParams(iteration_cap_per_gate=1))
+    assert isinstance(err.value, ValueError)
