@@ -133,8 +133,8 @@ SWEEP_AXES = ("topology", "capacity", "gates", "mapping", "delta", "weight-ratio
 
 
 def _sweep_job(payload):
-    argv, axis, value = payload
-    args = _parser().parse_args(argv)
+    base, axis, value = payload
+    args = argparse.Namespace(**vars(base))
     if axis == "topology":
         args.topology = value
     elif axis == "capacity":
@@ -167,9 +167,7 @@ def cmd_sweep(args) -> int:
     if args.axis not in SWEEP_AXES:
         print(f"error: unknown sweep axis '{args.axis}'", file=sys.stderr)
         return 2
-    values = args.values.split(",")
-    base_argv = args._base_argv
-    jobs = [(base_argv, args.axis, v) for v in values]
+    jobs = [(args, args.axis, v) for v in args.values.split(",")]
     workers = int(os.environ.get("QCCD_SYNC_THREADS", "0")) or None
     if workers == 1 or len(jobs) == 1:
         rows = [_sweep_job(j) for j in jobs]
@@ -268,12 +266,6 @@ def _add_compile_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _parser():
-    p = argparse.ArgumentParser(prog="qccdc-compile-config", add_help=False)
-    _add_compile_flags(p)
-    return p
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qccdc", description="QCCD shuttle/SWAP co-optimizing compiler")
@@ -298,19 +290,6 @@ def main(argv=None) -> int:
     if args.command == "compile":
         return cmd_compile(args)
     if args.command == "sweep":
-        # keep the raw compile flags so workers can rebuild the config
-        base = []
-        raw = list(argv if argv is not None else sys.argv[1:])
-        skip_next = False
-        for i, tok in enumerate(raw[1:], start=1):
-            if skip_next:
-                skip_next = False
-                continue
-            if tok in ("--axis", "--values"):
-                skip_next = True
-                continue
-            base.append(tok)
-        args._base_argv = base
         return cmd_sweep(args)
     if args.command == "oracle-check":
         return cmd_oracle_check(args)

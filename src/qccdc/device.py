@@ -56,6 +56,8 @@ class Topology:
                 raise ValueError(f"trap {t.id} capacity {t.capacity} < 2")
         jun_ids = {j.id for j in self.junctions}
         for p in self.paths:
+            if not (0 <= p.trap_a < len(self.traps) and 0 <= p.trap_b < len(self.traps)):
+                raise ValueError(f"path {p.trap_a}-{p.trap_b} references an unknown trap")
             if p.trap_a == p.trap_b:
                 raise ValueError("path endpoints must be distinct traps")
             if p.segments < 1:
@@ -135,8 +137,7 @@ class Edge:
     v: int
     weight: float
     is_shuttle: bool
-    # intra edges: slot distance; shuttle edges: segment count + junction ids
-    distance: int = 0
+    # shuttle edges only: segment count and junction ids
     segments: int = 0
     junctions: tuple[int, ...] = ()
 
@@ -181,9 +182,8 @@ class DeviceGraph:
             slots = self.trap_slots[trap.id]
             for i in range(len(slots)):
                 for j in range(i + 1, len(slots)):
-                    d = j - i
-                    self.edges.append(Edge(slots[i], slots[j], params.inner_weight * d,
-                                           is_shuttle=False, distance=d))
+                    self.edges.append(Edge(slots[i], slots[j], params.inner_weight * (j - i),
+                                           is_shuttle=False))
         for path in self.trap_paths.values():
             w = params.shuttle_base * (len(path.junctions) + 1)
             ends_a = self._end_slots(path.trap_a)
@@ -195,11 +195,6 @@ class DeviceGraph:
                                            junctions=path.junctions))
         # (u, v) with u < v -> index into ``edges`` and the per-edge arrays
         self._edge_index = {(e.u, e.v): i for i, e in enumerate(self.edges)}
-
-        self.adjacency: list[list[Edge]] = [[] for _ in range(self.n_nodes)]
-        for e in self.edges:
-            self.adjacency[e.u].append(e)
-            self.adjacency[e.v].append(e)
 
         # static per-edge arrays, in edge order: endpoints, weights, and the
         # class that with the number of occupied endpoints decides the edge's
@@ -314,17 +309,22 @@ def parse_topology_spec(spec: str, default_capacity: int | None = None) -> Topol
 
 
 def topology_from_json(data: dict | str) -> Topology:
-    """Load a topology from a JSON object (family form or explicit form)."""
+    """Load a topology from a JSON object (family form or explicit form).
+
+    A missing key raises ``ValueError``, like any other malformed topology."""
     if isinstance(data, str):
         data = json.loads(data)
-    if "family" in data:
-        fam = data["family"].upper()
-        cap = data["capacity"]
-        if fam == "G":
-            return grid_topology(data["rows"], data["cols"], cap)
-        return build_topology(fam, cap, n=data["n"])
-    traps = tuple(Trap(t["id"], t["capacity"]) for t in data["traps"])
-    junctions = tuple(Junction(j["id"], j["degree"]) for j in data.get("junctions", []))
-    paths = tuple(Path(p["trap_a"], p["trap_b"], p.get("segments", 1),
-                       tuple(p.get("junctions", ()))) for p in data["paths"])
+    try:
+        if "family" in data:
+            fam = data["family"].upper()
+            cap = data["capacity"]
+            if fam == "G":
+                return grid_topology(data["rows"], data["cols"], cap)
+            return build_topology(fam, cap, n=data["n"])
+        traps = tuple(Trap(t["id"], t["capacity"]) for t in data["traps"])
+        junctions = tuple(Junction(j["id"], j["degree"]) for j in data.get("junctions", []))
+        paths = tuple(Path(p["trap_a"], p["trap_b"], p.get("segments", 1),
+                           tuple(p.get("junctions", ()))) for p in data["paths"])
+    except KeyError as exc:
+        raise ValueError(f"topology JSON is missing the key {exc}") from None
     return Topology(traps, paths, junctions)

@@ -36,11 +36,12 @@ space to a trap end so a shuttle becomes legal) never lower any gate's
 score, and the candidate loop can cycle through no-op shifts.  Whenever the
 best candidate fails to strictly improve the frontier score, the scheduler
 falls back to an explicit deterministic routing plan for the lowest-id
-blocked gate, made on a scratch ``MachineState``: free a space in each trap
-along the route (cascading an eviction out of full traps when needed), walk
-the moving qubit to a trap end, and shuttle it hop by hop.  The plan is
-emitted one generic swap per outer iteration, so schedules stay replayable
-and deterministic.
+blocked gate: free a space in each trap along the route (cascading an
+eviction out of full traps when needed), walk the moving qubit to a trap
+end, and shuttle it hop by hop.  The planner tries its moves on the live
+``MachineState`` and takes them back before returning.  The scheduler then
+applies the plan one generic swap at a time, running ready gates after each,
+until the blocked gate has run.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .circuit import Circuit, build_dag
-from .device import EDGE_KINDS, SHUTTLE_EDGE, VALID_SWAP, DeviceGraph, Edge, EdgeKind
+from .device import SHUTTLE_EDGE, VALID_SWAP, DeviceGraph, Edge
 from .events import EventKind, EventRecord
 from .state import HeatParams, MachineState, run_ready_gates
 
@@ -180,17 +181,16 @@ def _penalty_change(edge: Edge, state: MachineState) -> int:
     return (state.space_count[dst] == 1) - (state.space_count[src] == 0)
 
 
-def heuristic_h(edge: Edge, kind: EdgeKind, state: MachineState, frontier_gates,
-                dist, pen_unit: float = 1.0, norm: float = 1.0) -> float:
+def heuristic_h(edge: Edge, state: MachineState, frontier_gates, dist) -> float:
     """Frontier score after applying one candidate swap: min over frontier
     gates of decay * (distance under the post-swap mapping + penalty).
 
-    The swap's own weight is not included: ``schedule`` adds
-    ``edge.weight / norm`` to rank candidates, and compares this score alone
-    with the current one to decide whether the swap improves anything.
-    ``dist`` and ``pen_unit`` are in units of the shuttle base weight, so
+    The swap's own weight is not included: ``schedule`` adds it to rank
+    candidates, and compares this score alone with the current one to decide
+    whether the swap improves anything.  ``dist`` is in units of the shuttle
+    base weight and the penalty counts one unit per spaceless trap, so
     scaling every device weight by a common factor reproduces the same
-    floats; ``norm`` is that unit and the score does not use it."""
+    floats.  ``edge`` must be a candidate, so a shuttle edge moves a qubit."""
     # temporary mapping: only the moved qubit(s) change slots
     moved: dict[int, int] = {}
     qu, qv = state.slot_qubit[edge.u], state.slot_qubit[edge.v]
@@ -199,10 +199,9 @@ def heuristic_h(edge: Edge, kind: EdgeKind, state: MachineState, frontier_gates,
     if qv is not None:
         moved[qv] = edge.u
 
-    pen_count = state.traps_without_space
-    if kind is EdgeKind.SHUTTLE:
-        pen_count += _penalty_change(edge, state)
-    pen = pen_count * pen_unit
+    pen = state.traps_without_space
+    if edge.is_shuttle:
+        pen += _penalty_change(edge, state)
 
     best = np.inf
     mapping = state.mapping
@@ -216,7 +215,7 @@ def heuristic_h(edge: Edge, kind: EdgeKind, state: MachineState, frontier_gates,
 
 
 def heuristic_scores(cand: np.ndarray, state: MachineState, graph: DeviceGraph,
-                     frontier_gates, dist: np.ndarray, pen_unit: float = 1.0) -> np.ndarray:
+                     frontier_gates, dist: np.ndarray) -> np.ndarray:
     """``heuristic_h`` of every candidate edge index in ``cand`` at once.
 
     Same operations in the same order on float64, so each score equals the
@@ -229,10 +228,9 @@ def heuristic_scores(cand: np.ndarray, state: MachineState, graph: DeviceGraph,
     u, v = graph.edge_u[cand][:, None, None], graph.edge_v[cand][:, None, None]
     moved = np.where(slots == u, v, np.where(slots == v, u, slots))
 
-    pen_count = np.full(len(cand), state.traps_without_space)
+    pen = np.full(len(cand), state.traps_without_space)
     for k in np.flatnonzero(graph.edge_class[cand] == SHUTTLE_EDGE).tolist():
-        pen_count[k] += _penalty_change(graph.edges[cand[k]], state)
-    pen = pen_count * pen_unit
+        pen[k] += _penalty_change(graph.edges[cand[k]], state)
 
     return ((dist[moved[..., 0], moved[..., 1]] + pen[:, None]) * decay_factor).min(axis=1)
 
@@ -275,35 +273,26 @@ def _trap_route(adj, src: int, dst: int) -> tuple[float, list[int]]:
 class _EscapePlanner:
     """Builds an edge sequence that makes one blocked gate executable.
 
-    Plans on a scratch ``MachineState`` so planning never disturbs the live
-    state; the returned edges are applied one per scheduler iteration.
+    Plans by moving ions on the live ``MachineState``; ``route`` takes every
+    move back before it returns or raises, so planning leaves the state as
+    it found it.
     """
 
     def __init__(self, state: MachineState, graph: DeviceGraph, trap_adj):
         self.graph = graph
         self.adj = trap_adj
-        self.state = MachineState(graph, state.mapping)
+        self.state = state
         self.plan: list[tuple[int, int]] = []
 
     def _move(self, u: int, v: int):
         self.state._exchange(u, v)
         self.plan.append((u, v))
 
-    def _shift_space_to(self, trap: int, end_pos: int):
-        """Walk the space nearest to end_pos out to that end slot."""
+    def _walk(self, trap: int, start: int, end: int):
+        """Carry the content of position start to position end, one slot at a time."""
         slots = self.graph.trap_slots[trap]
-        sp = min(self.state.spaces[trap], key=lambda p: (abs(p - end_pos), p))
-        step = 1 if sp < end_pos else -1
-        for p in range(sp, end_pos, step):
-            self._move(slots[p], slots[p + step])
-
-    def _walk_qubit_to(self, q: int, target_pos: int):
-        g = self.graph
-        trap = g.node_trap[self.state.mapping[q]]
-        slots = g.trap_slots[trap]
-        cur = g.node_pos[self.state.mapping[q]]
-        step = 1 if cur < target_pos else -1
-        for p in range(cur, target_pos, step):
+        step = 1 if start < end else -1
+        for p in range(start, end, step):
             self._move(slots[p], slots[p + step])
 
     def _dest_end(self, trap: int) -> int:
@@ -316,7 +305,7 @@ class _EscapePlanner:
             return cap - 1
         near = min(spaces, key=lambda p: (min(p, cap - 1 - p), p))
         end = 0 if near <= cap - 1 - near else cap - 1
-        self._shift_space_to(trap, end)
+        self._walk(trap, near, end)  # no space lies nearer to that end than ``near``
         return end
 
     def _make_space_in(self, trap: int, protected: set[int]):
@@ -346,17 +335,15 @@ class _EscapePlanner:
         for recv, give in zip(path, path[1:]):
             dst = self._dest_end(recv)
             slots = self.graph.trap_slots[give]
-            ends = [0, len(slots) - 1]
             pick = None
             slot_qubit = self.state.slot_qubit
-            for e in ends:
+            for e in (0, len(slots) - 1):
                 q = slot_qubit[slots[e]]
                 if q is not None and q not in protected:
                     pick = e
                     break
             if pick is None:
                 # a protected qubit sits at each usable end: tuck one inward
-                e = ends[0]
                 self._move(slots[0], slots[1])
                 pick = 0 if slot_qubit[slots[0]] is not None else None
                 if pick is None or slot_qubit[slots[0]] in protected:
@@ -367,16 +354,21 @@ class _EscapePlanner:
         g, mapping = self.graph, self.state.mapping
         route = _trap_route(self.adj, g.node_trap[mapping[mover]], g.node_trap[mapping[stay]])[1]
         protected = {mover, stay}
-        for t_next in route[1:]:
-            t_cur = g.node_trap[mapping[mover]]
-            if self.state.space_count[t_next] == 0:
-                self._make_space_in(t_next, protected)
-            dst = self._dest_end(t_next)
-            cap = len(g.trap_slots[t_cur])
-            pos = g.node_pos[mapping[mover]]
-            src = 0 if pos <= (cap - 1) / 2 else cap - 1
-            self._walk_qubit_to(mover, src)
-            self._move(g.trap_slots[t_cur][src], g.trap_slots[t_next][dst])
+        try:
+            for t_next in route[1:]:
+                t_cur = g.node_trap[mapping[mover]]
+                if self.state.space_count[t_next] == 0:
+                    self._make_space_in(t_next, protected)
+                dst = self._dest_end(t_next)
+                cap = len(g.trap_slots[t_cur])
+                pos = g.node_pos[mapping[mover]]
+                src = 0 if pos <= (cap - 1) / 2 else cap - 1
+                self._walk(t_cur, pos, src)
+                self._move(g.trap_slots[t_cur][src], g.trap_slots[t_next][dst])
+        finally:
+            # an exchange is its own inverse, so undoing in reverse restores the state
+            for u, v in reversed(self.plan):
+                self.state._exchange(u, v)
         return self.plan
 
 
@@ -415,8 +407,6 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
     norm = graph.params.shuttle_base
     dist_array = distance_table(graph, params.m, scale=norm)
     dist = dist_array.tolist()
-    edge_class = graph.edge_class.tolist()
-    pen_unit = 1.0  # one normalized shuttle-base unit per spaceless trap
     trap_adj = _trap_adjacency(graph)
     decay = DecayTable(params.decay_reset_window)
     remaining_uses = [0] * circuit.n_qubits
@@ -428,10 +418,19 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
     iteration = 0
     swaps_since_gate = 0
     prev_edge: tuple[int, int] | None = None
-    pending: deque[tuple[int, int]] = deque()
-    pending_gate: int | None = None
+
+    def run_gates():
+        nonlocal swaps_since_gate
+        ran = run_ready_gates(state, dag, events)
+        if ran:
+            for ev in events[-ran:]:
+                if ev.is_two_qubit_gate:
+                    for q in ev.qubits:
+                        remaining_uses[q] -= 1
+            swaps_since_gate = 0
 
     def apply_edge(e: Edge):
+        """Apply one generic swap, then run whatever gates it made ready."""
         nonlocal iteration, prev_edge, swaps_since_gate
         ev = state.apply_generic_swap(e)
         events.append(ev)
@@ -441,25 +440,10 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         swaps_since_gate += 1
         if swaps_since_gate > params.iteration_cap_per_gate:
             raise SchedulerStuck(dag.frontier, iteration)
+        run_gates()
 
+    run_gates()
     while len(dag):
-        ran = run_ready_gates(state, dag, events)
-        if ran:
-            for ev in events[-ran:]:
-                if ev.is_two_qubit_gate:
-                    for q in ev.qubits:
-                        remaining_uses[q] -= 1
-            swaps_since_gate = 0
-            if pending_gate is not None and pending_gate not in dag.frontier:
-                pending.clear()
-                pending_gate = None
-            continue
-
-        if pending:
-            apply_edge(graph.edge(*pending.popleft()))
-            continue
-        pending_gate = None
-
         frontier_gates = []
         for gid in sorted(dag.frontier):
             g = dag.gates[gid]
@@ -467,7 +451,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
             recent = decay.is_recent(q1, iteration) or decay.is_recent(q2, iteration)
             frontier_gates.append((q1, q2, 1.0 + params.delta if recent else 1.0))
 
-        pen_now = state.traps_without_space * pen_unit
+        pen_now = state.traps_without_space
         current_min = min((dist[state.mapping[q1]][state.mapping[q2]] + pen_now) * f
                           for q1, q2, f in frontier_gates)
 
@@ -477,18 +461,15 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         # the candidates tied at the smallest score + weight
         cand = candidates(state, graph)
         if len(cand) * len(frontier_gates) >= VECTOR_MIN_PAIRS:
-            raw = heuristic_scores(cand, state, graph, frontier_gates, dist_array, pen_unit)
+            raw = heuristic_scores(cand, state, graph, frontier_gates, dist_array)
             h = raw + graph.edge_weight[cand] / norm
             scored = [(float(raw[k]), float(h[k]), graph.edges[cand[k]])
                       for k in np.flatnonzero(h == h.min()).tolist()]
         else:
             scored = []
-            slot_qubit = state.slot_qubit
             for i in cand.tolist():
                 e = graph.edges[i]
-                occupied = (slot_qubit[e.u] is not None) + (slot_qubit[e.v] is not None)
-                kind = EDGE_KINDS[edge_class[i]][occupied]
-                r = heuristic_h(e, kind, state, frontier_gates, dist, pen_unit, norm)
+                r = heuristic_h(e, state, frontier_gates, dist)
                 scored.append((r, r + e.weight / norm, e))
         best = min(scored, default=None,
                    key=lambda t: (t[1], prev_edge == (t[2].u, t[2].v), t[2].u, t[2].v))
@@ -499,14 +480,15 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
             continue
 
         # plateau: no candidate lowers the frontier score; route the lowest-id
-        # blocked gate explicitly
+        # blocked gate explicitly, stopping once it has run
         gid = min(dag.frontier)
         q1, q2 = dag.gates[gid].qubits
         plan = plan_escape(state, graph, trap_adj, q1, q2, remaining_uses)
         if not plan:
             raise SchedulerStuck(dag.frontier, iteration)
-        pending = deque(plan)
-        pending_gate = gid
-        apply_edge(graph.edge(*pending.popleft()))
+        for u, v in plan:
+            apply_edge(graph.edge(u, v))
+            if gid not in dag.frontier:
+                break
 
     return Schedule(events, circuit, graph, dict(initial_mapping), heat)

@@ -84,6 +84,18 @@ def test_topology_json_file(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("data", [
+    {"traps": [{"id": 0, "capacity": 4}, {"id": 1, "capacity": 4}],
+     "paths": [{"trap_a": 0, "trap_b": 2}]},
+    {"family": "L", "n": 2},
+])
+def test_malformed_topology_json_exit_code(tmp_path, capsys, data):
+    topo = tmp_path / "t.json"
+    topo.write_text(json.dumps(data))
+    assert main(["compile", "--gen", "qft:4", "--topology", str(topo)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_capacity_axis(tmp_path, monkeypatch):
     monkeypatch.setenv("QCCD_SYNC_THREADS", "1")
     out = tmp_path / "sweep.csv"
@@ -94,6 +106,16 @@ def test_sweep_capacity_axis(tmp_path, monkeypatch):
     assert [r["value"] for r in rows] == ["4", "6"]
     assert all(r["status"] == "ok" for r in rows)
     assert rows[0]["topology"] == "G2x2:4" and rows[1]["topology"] == "G2x2:6"
+
+
+def test_sweep_accepts_equals_form(tmp_path, monkeypatch):
+    monkeypatch.setenv("QCCD_SYNC_THREADS", "1")
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--gen=qft:8", "--topology=G2x2:4",
+               "--axis=capacity", "--values=4,6", f"--out={out}"])
+    assert rc == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["topology"], r["status"]) for r in rows] == [("G2x2:4", "ok"), ("G2x2:6", "ok")]
 
 
 def test_sweep_mapping_axis_records_failures(tmp_path, monkeypatch):

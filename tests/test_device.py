@@ -110,3 +110,18 @@ def test_invalid_topologies():
                       {"id": 2, "capacity": 2}],
             "paths": [{"trap_a": 0, "trap_b": 1}],
         })  # trap 2 disconnected
+
+
+@pytest.mark.parametrize("data", [
+    # a path naming trap 2 on a two-trap device
+    {"traps": [{"id": 0, "capacity": 3}, {"id": 1, "capacity": 3}],
+     "paths": [{"trap_a": 0, "trap_b": 1}, {"trap_a": 1, "trap_b": 2}]},
+    # the same on a one-trap device, where no connectivity check runs
+    {"traps": [{"id": 0, "capacity": 3}], "paths": [{"trap_a": 0, "trap_b": 1}]},
+    {"family": "L", "n": 2},                                  # no capacity
+    {"traps": [{"id": 0, "capacity": 3}, {"id": 1}], "paths": []},
+    {"traps": [{"id": 0, "capacity": 3}]},                    # no paths
+])
+def test_malformed_topology_json_raises_value_error(data):
+    with pytest.raises(ValueError):
+        topology_from_json(data)

@@ -143,9 +143,8 @@ def test_vectorised_scores_equal_heuristic_h(scan):
     found = candidates(state, graph)
     if not len(found):
         return
-    fast = heuristic_scores(found, state, graph, frontier, dist, 1.0).tolist()
-    slow = [heuristic_h(graph.edges[i], state.classify(graph.edges[i].u, graph.edges[i].v),
-                        state, frontier, dist.tolist(), 1.0, norm) for i in found.tolist()]
+    fast = heuristic_scores(found, state, graph, frontier, dist).tolist()
+    slow = [heuristic_h(graph.edges[i], state, frontier, dist.tolist()) for i in found.tolist()]
     assert fast == slow
 
 
@@ -157,7 +156,7 @@ def test_full_to_one_example_moves_the_penalty():
     assert state.classify(2, 3) is EdgeKind.SHUTTLE
     assert state.space_count == {0: 0, 1: 1}
     dist = distance_table(graph, 2).tolist()
-    h = heuristic_h(shuttle, EdgeKind.SHUTTLE, state, frontier, dist)
+    h = heuristic_h(shuttle, state, frontier, dist)
     # q2 lands next to q3, one intra step apart, and the penalty stays at one
     # spaceless trap: trap 0 gains a space (-1) and trap 1 fills up (+1); the
     # shuttle's own weight is not part of the score

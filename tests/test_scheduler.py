@@ -12,7 +12,7 @@ from qccdc import (Circuit, DecayTable, DeviceFull, EventKind, Gate, Junction,
                    to_graph, topology_from_json)
 from qccdc.bench import qft
 from qccdc.device import EDGE_KINDS
-from qccdc.scheduler import _trap_adjacency, candidates
+from qccdc.scheduler import _EscapePlanner, _trap_adjacency, candidates, plan_escape
 from qccdc.state import MachineState
 
 
@@ -248,3 +248,47 @@ def test_swap_cap_raises_a_value_error():
     with pytest.raises(SchedulerStuck) as err:
         schedule(c, g, {1: 0, 0: 1, 2: 2, 3: 4}, SchedulerParams(iteration_cap_per_gate=1))
     assert isinstance(err.value, ValueError)
+
+
+def snapshot(state):
+    return (list(state.slot_qubit), dict(state.mapping), state.occupied.tolist(),
+            {t: set(p) for t, p in state.spaces.items()}, dict(state.space_count),
+            state.traps_without_space, dict(state.nbar))
+
+
+def test_plan_escape_leaves_the_state_as_it_found_it():
+    """The planner moves ions on the live state and takes every move back.
+    Traps 0-2 of L4:3 are full, so routing q0 to q3 in trap 1 cascades an
+    eviction through trap 2 into trap 3 first."""
+    g = to_graph(linear_topology(4, 3), WeightParams())
+    state = MachineState(g, {q: q for q in range(9)})
+    adj = _trap_adjacency(g)
+    before = snapshot(state)
+    for mover, stay in ((0, 3), (3, 0)):
+        _EscapePlanner(state, g, adj).route(mover, stay)
+        assert snapshot(state) == before
+    plan = plan_escape(state, g, adj, 0, 3, [0] * 9)
+    assert snapshot(state) == before
+    assert [(g.node_trap[u], g.node_trap[v]) for u, v in plan] == [(2, 3), (1, 2), (0, 1)]
+    for u, v in plan:
+        state.apply_generic_swap(g.edge(u, v))
+    assert state.co_trapped(0, 3)
+    state.check_consistency()
+
+
+def test_plan_escape_failing_mid_plan_leaves_the_state_unchanged(monkeypatch):
+    g = to_graph(linear_topology(4, 3), WeightParams())
+    state = MachineState(g, {q: q for q in range(9)})
+    before = snapshot(state)
+    make_space = _EscapePlanner._make_space_in
+
+    def cascade_then_fail(self, trap, protected):
+        make_space(self, trap, protected)
+        assert self.plan
+        raise DeviceFull("stop after the cascade")
+
+    monkeypatch.setattr(_EscapePlanner, "_make_space_in", cascade_then_fail)
+    with pytest.raises(DeviceFull):
+        plan_escape(state, g, _trap_adjacency(g), 0, 3, [0] * 9)
+    assert snapshot(state) == before
+    state.check_consistency()

@@ -1,7 +1,8 @@
 import dataclasses
 
-from qccdc import (EventKind, MappingParams, WeightParams, grid_topology,
-                   initial_mapping, replay, schedule, to_graph)
+from qccdc import (EventKind, EventRecord, HeatParams, MappingParams, WeightParams,
+                   grid_topology, initial_mapping, parse_topology_spec, replay, schedule,
+                   to_graph)
 from qccdc.bench import qft
 from qccdc.scheduler import Schedule
 
@@ -55,3 +56,27 @@ def test_wrong_event_kind_detected():
     bad = Schedule(events, s.circuit, s.graph, s.initial_mapping, s.heat)
     msgs = replay(bad)
     assert any("classifies as" in m for m in msgs)
+
+
+def test_move_between_unjoined_slots_is_a_violation():
+    """Slots 1 and 4 of L2:3 are no edge's endpoints: replay reports the event
+    instead of raising and keeps checking the rest of the schedule."""
+    c = qft(4)
+    g = to_graph(parse_topology_spec("L2:3"), WeightParams())
+    s = schedule(c, g, initial_mapping(c, g, MappingParams()))
+    assert replay(s) == []
+    stray = EventRecord(EventKind.SHUTTLE, qubits=(0,), slots=(1, 4))
+    bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping, s.heat)
+    assert replay(bad) == ["event 0 (shuttle): no edge joins slots 1 and 4"]
+
+
+def test_cooling_shuttles_are_reported():
+    """Only shuttles heat; a negative split/merge increment must still show
+    up as a decrease on the shuttle's destination trap."""
+    c = qft(6)
+    g = to_graph(grid_topology(2, 2, 3), WeightParams())
+    s = schedule(c, g, initial_mapping(c, g, MappingParams()), heat=HeatParams(k1=-1.0))
+    msgs = replay(s)
+    assert msgs and all("nbar decreased" in m for m in msgs)
+    shuttles = sum(e.kind is EventKind.SHUTTLE for e in s.events)
+    assert len(msgs) == shuttles
