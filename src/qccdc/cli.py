@@ -52,9 +52,13 @@ def _load_circuit(args):
     raise ValueError("either --gen or --circuit is required")
 
 
+def _is_topology_file(spec: str) -> bool:
+    return spec.endswith(".json") or os.path.exists(spec)
+
+
 def _load_topology(args):
     spec = args.topology
-    if spec.endswith(".json") or os.path.exists(spec):
+    if _is_topology_file(spec):
         return topology_from_json(json.loads(Path(spec).read_text()))
     return parse_topology_spec(spec, default_capacity=args.capacity)
 
@@ -72,10 +76,14 @@ def _build_params(args):
     return weights, sched_p, map_p, cost_p
 
 
-def run_compile(args) -> dict:
-    """Full pipeline for one configuration; returns the metrics dict."""
+def run_compile(args, capacity: int | None = None) -> dict:
+    """Full pipeline for one configuration; returns the metrics dict.
+
+    With ``capacity`` every trap of the loaded topology holds that many slots."""
     circuit = _load_circuit(args)
     topology = _load_topology(args)
+    if capacity is not None:
+        topology = topology.with_capacity(capacity)
     weights, sched_p, map_p, cost_p = _build_params(args)
     graph = to_graph(topology, weights)
     mapping = initial_mapping(circuit, graph, map_p)
@@ -135,12 +143,14 @@ SWEEP_AXES = ("topology", "capacity", "gates", "mapping", "delta", "weight-ratio
 def _sweep_job(payload):
     base, axis, value = payload
     args = argparse.Namespace(**vars(base))
+    capacity = None
+    label = args.topology
     if axis == "topology":
-        args.topology = value
+        args.topology = label = value
     elif axis == "capacity":
-        args.capacity = int(value)
-        # capacity applies to family specs without an explicit capacity
-        args.topology = args.topology.split(":")[0] + f":{int(value)}"
+        args.capacity = capacity = int(value)
+        if not _is_topology_file(label):  # name the family spec it ran as
+            label = f"{label.split(':')[0]}:{capacity}"
     elif axis == "gates":
         args.gates = value
     elif axis == "mapping":
@@ -150,13 +160,13 @@ def _sweep_job(payload):
     elif axis == "weight-ratio":
         r = float(value)
         args.shuttle_weight = args.inner_weight * r
-    row = {"axis": axis, "value": value, "topology": args.topology,
+    row = {"axis": axis, "value": value, "topology": label,
            "mapping": args.mapping, "gates": args.gates, "delta": args.delta,
            "inner_weight": args.inner_weight, "shuttle_weight": args.shuttle_weight,
            "m": args.m, "a0": args.a0, "seed": args.seed,
            "circuit": args.gen or args.circuit}
     try:
-        row.update(run_compile(args))
+        row.update(run_compile(args, capacity))
         row["status"] = "ok"
     except Exception as exc:  # record the failure, keep the sweep going
         row["status"] = f"failed: {exc}"

@@ -48,6 +48,17 @@ class Topology:
     junctions: tuple[Junction, ...]
 
     def __post_init__(self):
+        fields = [("trap id", t.id) for t in self.traps]
+        fields += [(f"trap {t.id} capacity", t.capacity) for t in self.traps]
+        fields += [("junction id", j.id) for j in self.junctions]
+        fields += [(f"junction {j.id} degree", j.degree) for j in self.junctions]
+        for p in self.paths:
+            fields += [("path trap", p.trap_a), ("path trap", p.trap_b),
+                       ("path segments", p.segments)]
+            fields += [("path junction", j) for j in p.junctions]
+        for what, value in fields:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{what} must be an integer, not {value!r}")
         ids = [t.id for t in self.traps]
         if ids != list(range(len(self.traps))):
             raise ValueError("trap ids must be dense 0..n-1")
@@ -82,6 +93,11 @@ class Topology:
                     stack.append(nb)
         if len(seen) != len(self.traps):
             raise ValueError("topology is not connected")
+
+    def with_capacity(self, capacity: int) -> Topology:
+        """The same device with every trap holding ``capacity`` slots."""
+        return Topology(tuple(Trap(t.id, capacity) for t in self.traps), self.paths,
+                        self.junctions)
 
     def trap(self, trap_id: int) -> Trap:
         return self.traps[trap_id]
@@ -311,7 +327,8 @@ def parse_topology_spec(spec: str, default_capacity: int | None = None) -> Topol
 def topology_from_json(data: dict | str) -> Topology:
     """Load a topology from a JSON object (family form or explicit form).
 
-    A missing key raises ``ValueError``, like any other malformed topology."""
+    A missing key or a field of the wrong type raises ``ValueError``, like
+    any other malformed topology."""
     if isinstance(data, str):
         data = json.loads(data)
     try:
@@ -327,4 +344,6 @@ def topology_from_json(data: dict | str) -> Topology:
                            tuple(p.get("junctions", ()))) for p in data["paths"])
     except KeyError as exc:
         raise ValueError(f"topology JSON is missing the key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed topology JSON: {exc}") from None
     return Topology(traps, paths, junctions)

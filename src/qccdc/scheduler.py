@@ -28,8 +28,16 @@ slower.
 
 Path distances ignore occupancy (they measure geometry, not immediate
 feasibility), so they are precomputed once per graph into a dense table:
-min-plus powers give the cheapest path with at most ``m`` intermediate
-nodes, with a full shortest-path fallback for pairs out of truncation range.
+``m`` min-plus steps give the cheapest path with at most ``m`` intermediate
+nodes, and pairs out of that range take the shortest path.  The slot graph is
+block-structured: each trap is a complete block of intra edges, and shuttle
+edges join end slots only.  So a step forms, for each entry, only the sums
+over its own trap's slots and, at an end slot, over the end slots; every
+skipped sum adds an infinite weight, and ``min`` is exact, so the step gives
+the dense n x n x n step's table bit for bit.  The shortest paths come from
+repeating the same step until nothing changes: rounded addition is
+monotone, so that fixpoint of left-to-right path sums is what Dijkstra's
+algorithm returns.
 
 Because the distance table ignores occupancy, enabling moves (shifting a
 space to a trap end so a shuttle becomes legal) never lower any gate's
@@ -51,8 +59,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .circuit import Circuit, build_dag
 from .device import SHUTTLE_EDGE, VALID_SWAP, DeviceGraph, Edge
@@ -151,18 +157,48 @@ def distance_table(graph: DeviceGraph, m: int, scale: float = 1.0) -> np.ndarray
     Weights are divided by ``scale`` so callers can work in normalized units
     (the heuristic divides by shuttle_base to keep its arithmetic bit-exact
     when all weights are multiplied by a common factor)."""
-    n = graph.n_nodes
-    w = np.full((n, n), np.inf)
-    np.fill_diagonal(w, 0.0)
-    w[graph.edge_u, graph.edge_v] = w[graph.edge_v, graph.edge_u] = graph.edge_weight / scale
-    d = w.copy()
+    n_traps = len(graph.trap_slots)
+    cap = max(len(slots) for slots in graph.trap_slots.values())
+    size = n_traps * cap
+    # columns in trap blocks of ``cap``: a trap's slots start at its block's
+    # first column and its last slot takes the block's last column, so every
+    # trap's end slots sit at block positions 0 and cap - 1
+    col = np.array([t * cap + (p if p < len(graph.trap_slots[t]) - 1 else cap - 1)
+                    for t, p in zip(graph.node_trap, graph.node_pos)], dtype=np.intp)
+    w = np.full((size, size), np.inf)
+    w[col, col] = 0.0
+    u, v = col[graph.edge_u], col[graph.edge_v]
+    w[u, v] = w[v, u] = graph.edge_weight / scale
+    w4 = w.reshape(n_traps, cap, n_traps, cap)
+    intra = w4.diagonal(axis1=0, axis2=2).transpose(2, 0, 1)      # [trap, k, j]
+    ends = w4[:, ::cap - 1, :, ::cap - 1].reshape(2 * n_traps, 2 * n_traps)
+
+    def step(d: np.ndarray) -> np.ndarray:
+        """One min-plus step ``min(d[i,j], min_k d[i,k] + w[k,j])`` over the
+        finite ``w[k,j]``: ``k`` in ``j``'s trap, or both end slots."""
+        x = d.reshape(len(d), n_traps, cap)
+        best = x[:, :, :1] + intra[:, 0]
+        for k in range(1, cap):
+            np.minimum(best, x[:, :, k:k + 1] + intra[:, k], out=best)
+        via = (x[:, :, ::cap - 1].reshape(len(d), -1)[:, :, None] + ends).min(axis=1)
+        best_ends = best[:, :, ::cap - 1]
+        np.minimum(best_ends, via.reshape(best_ends.shape), out=best_ends)
+        return best.reshape(len(d), size)
+
+    d = w[col]
     for _ in range(m):  # m min-plus steps on top of w: paths of <= m+1 edges
-        d = np.minimum(d, (d[:, :, None] + w[None, :, :]).min(axis=1))
-    if np.isinf(d).any():
-        finite = np.where(np.isinf(w), 0.0, w)
-        full = dijkstra(csr_matrix(finite), directed=False)
-        d = np.where(np.isinf(d), full, d)
-    return d
+        d = step(d)
+    table = d[:, col]
+    if not np.isinf(table).any():
+        return table
+    # step on to the fixpoint, the shortest path; rows are independent, so
+    # only the rows the last step lowered take the next one
+    rows = np.arange(len(d))
+    while rows.size:
+        old = d[rows]
+        d[rows] = new = step(old)
+        rows = rows[(new < old).any(axis=1)]
+    return np.where(np.isinf(table), d[:, col], table)
 
 
 def candidates(state: MachineState, graph: DeviceGraph) -> np.ndarray:

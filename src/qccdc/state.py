@@ -10,9 +10,10 @@ exactly when its qubits share a trap (``co_trapped``), and
 
 One compile job owns one MachineState.  Every structural change goes through
 ``_exchange``, called by ``apply_generic_swap`` for real moves and by the
-scheduler's escape planner on a scratch state, so the mapping, occupancy and
-space recorder stay consistent with each other; ``apply_generic_swap`` also
-adds the per-trap motional quanta and returns the event.
+scheduler's escape planner, which tries its moves on the live state and
+takes them back, so the mapping, occupancy and space recorder stay
+consistent with each other; ``apply_generic_swap`` also adds the per-trap
+motional quanta and returns the event.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Schedule replay checker.
 
 Rebuilds machine state from the initial mapping and walks the event list,
-checking only what each event touches: a gate runs on co-trapped qubits in
-per-qubit circuit order, an inserted move's slots are joined by an edge and
-the move is the generic swap that edge allows at that point, and a shuttle
-does not lower the heat of its two traps (no other event heats).  Occupancy
+checking only what each event touches: a gate event names a gate of the
+circuit, which runs on co-trapped qubits in per-qubit circuit order; an
+inserted move names two slots joined by an edge, and the move is the
+generic swap that edge allows at that point; and a shuttle does not lower
+the heat of its two traps (no other event heats).  Occupancy
 and the qubit set need no check of their own: every move exchanges the
 contents of two slots, so no trap overfills and no qubit appears or
 vanishes.  It shares ``MachineState`` and its edge-kind table with the
@@ -42,6 +43,9 @@ def replay(sched: Schedule) -> list[str]:
         where = f"event {idx} ({ev.kind.value})"
         if ev.kind is EventKind.GATE:
             gid = ev.gate_id
+            if not (isinstance(gid, int) and 0 <= gid < len(circuit.gates)):
+                violations.append(f"{where}: no gate {gid!r} in the circuit")
+                continue
             gate = circuit.gates[gid]
             if gid in executed:
                 violations.append(f"{where}: gate {gid} executed twice")
@@ -59,10 +63,13 @@ def replay(sched: Schedule) -> list[str]:
                     violations.append(
                         f"{where}: gate {gid} qubits {gate.qubits} not co-trapped")
         else:
+            if len(ev.slots) != 2:
+                violations.append(f"{where}: a move needs two slots, not {ev.slots!r}")
+                continue
             u, v = ev.slots
             try:
                 kind = state.classify(u, v)
-            except KeyError:
+            except (KeyError, TypeError):  # no such edge, or a slot that is no node id
                 violations.append(f"{where}: no edge joins slots {u} and {v}")
                 continue
             expected = {EventKind.SWAP: EdgeKind.QUBIT_SWAP,

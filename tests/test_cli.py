@@ -88,6 +88,7 @@ def test_topology_json_file(tmp_path):
     {"traps": [{"id": 0, "capacity": 4}, {"id": 1, "capacity": 4}],
      "paths": [{"trap_a": 0, "trap_b": 2}]},
     {"family": "L", "n": 2},
+    {"family": "L", "n": 2, "capacity": "4"},
 ])
 def test_malformed_topology_json_exit_code(tmp_path, capsys, data):
     topo = tmp_path / "t.json"
@@ -106,6 +107,32 @@ def test_sweep_capacity_axis(tmp_path, monkeypatch):
     assert [r["value"] for r in rows] == ["4", "6"]
     assert all(r["status"] == "ok" for r in rows)
     assert rows[0]["topology"] == "G2x2:4" and rows[1]["topology"] == "G2x2:6"
+
+
+@pytest.mark.parametrize("data", [
+    {"family": "L", "n": 2, "capacity": 5},
+    {"traps": [{"id": 0, "capacity": 5}, {"id": 1, "capacity": 5}],
+     "paths": [{"trap_a": 0, "trap_b": 1, "junctions": [0]}],
+     "junctions": [{"id": 0, "degree": 2}]},
+])
+def test_sweep_capacity_axis_on_a_json_topology(tmp_path, monkeypatch, data):
+    """Each value sets the capacity of every trap of the loaded device: two
+    traps of 3 cannot hold qft:8, and capacity 6 compiles as L2:6 does."""
+    monkeypatch.setenv("QCCD_SYNC_THREADS", "1")
+    topo = tmp_path / "u.json"
+    topo.write_text(json.dumps(data))
+    out = tmp_path / "sweep.csv"
+    main(["sweep", "--gen", "qft:8", "--topology", str(topo),
+          "--axis", "capacity", "--values", "3,6", "--out", str(out)])
+    rows = list(csv.DictReader(out.open()))
+    assert [r["topology"] for r in rows] == [str(topo)] * 2
+    assert rows[0]["status"].startswith("failed: 8 qubits exceed")
+    assert rows[1]["status"] == "ok"
+    assert main(["compile", "--gen", "qft:8", "--topology", "L2:6",
+                 "--out", str(tmp_path / "m.json")]) == 0
+    expected = json.loads((tmp_path / "m.json").read_text())
+    assert int(rows[1]["shuttles"]) == expected["shuttles"]
+    assert int(rows[1]["swap_gates"]) == expected["swap_gates"]
 
 
 def test_sweep_accepts_equals_form(tmp_path, monkeypatch):

@@ -121,6 +121,11 @@ def test_invalid_topologies():
     {"family": "L", "n": 2},                                  # no capacity
     {"traps": [{"id": 0, "capacity": 3}, {"id": 1}], "paths": []},
     {"traps": [{"id": 0, "capacity": 3}]},                    # no paths
+    {"family": "L", "n": 2, "capacity": "4"},                 # capacity as a string
+    {"traps": [{"id": 0, "capacity": 3.5}, {"id": 1, "capacity": 3}],
+     "paths": [{"trap_a": 0, "trap_b": 1}]},                  # fractional capacity
+    {"family": "L", "n": "2", "capacity": 4},                 # trap count as a string
+    {"family": 3, "n": 2, "capacity": 4},                     # family not a string
 ])
 def test_malformed_topology_json_raises_value_error(data):
     with pytest.raises(ValueError):

@@ -1,17 +1,23 @@
-"""The edge-kind table, the vectorised scan and the scorer against references.
+"""The edge-kind table, the vectorised scan, the scorer and the distance
+table against references.
 
 ``MachineState.classify`` and ``candidates`` read each edge's kind from the
 static ``EDGE_KINDS`` table; ``reference_kind`` below restates the rule from
 edge weights alone, independently of that table.  ``heuristic_scores``
 scores all (candidate x frontier gate) pairs in numpy; ``heuristic_h`` is the
-per-edge definition it must reproduce exactly.
+per-edge definition it must reproduce exactly.  ``distance_table`` works on
+the slot graph's trap blocks; ``reference_table`` is the dense min-plus
+table with scipy's Dijkstra for the pairs out of truncation range.
 """
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from qccdc import (EdgeKind, Junction, Path, Topology, Trap, WeightParams, distance_table,
-                   grid_topology, star_topology, to_graph)
+                   grid_topology, linear_topology, star_topology, to_graph)
 from qccdc.scheduler import candidates, heuristic_h, heuristic_scores
 from qccdc.state import MachineState
 
@@ -64,6 +70,8 @@ def topologies(draw):
 
 
 def build(spec):
+    if spec[0] == "L":
+        return linear_topology(*spec[1:])
     if spec[0] == "G":
         return grid_topology(*spec[1:])
     if spec[0] == "S":
@@ -161,3 +169,44 @@ def test_full_to_one_example_moves_the_penalty():
     # spaceless trap: trap 0 gains a space (-1) and trap 1 fills up (+1); the
     # shuttle's own weight is not part of the score
     assert h == (0.001 + 1) * 1.0
+
+
+def reference_table(graph, m, scale):
+    """Cheapest path with <= m intermediates by dense min-plus steps over the
+    whole n x n weight matrix, and scipy's Dijkstra where that is infinite."""
+    n = graph.n_nodes
+    w = np.full((n, n), np.inf)
+    np.fill_diagonal(w, 0.0)
+    w[graph.edge_u, graph.edge_v] = w[graph.edge_v, graph.edge_u] = graph.edge_weight / scale
+    d = w.copy()
+    for _ in range(m):
+        d = np.minimum(d, (d[:, :, None] + w[None, :, :]).min(axis=1))
+    if np.isinf(d).any():
+        full = dijkstra(csr_matrix(np.where(np.isinf(w), 0.0, w)), directed=False)
+        d = np.where(np.isinf(d), full, d)
+    return d
+
+
+WEIGHTS = (WeightParams(), WeightParams(inner_weight=0.013, shuttle_base=3.7, threshold=0.9),
+           WeightParams(inner_weight=1e-7, shuttle_base=1e5, threshold=0.5))
+
+
+@st.composite
+def tables(draw):
+    """A device (L, G, S, or a chain of mixed capacities with and without
+    junctions, some with a parallel path), weights, m and a scale."""
+    spec = draw(st.one_of(topologies(),
+                          st.tuples(st.just("L"), st.integers(2, 6), st.integers(2, 9))))
+    weights = draw(st.sampled_from(WEIGHTS))
+    scale = draw(st.sampled_from((1.0, weights.shuttle_base, 0.3)))
+    return spec, weights, draw(st.integers(1, 3)), scale
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tables())
+@example((("L", 6, 3), WeightParams(), 1, 1.0))         # most pairs take the fixpoint
+@example((("chain", (2, 7, 3), ((1, 0), (3, 2)), True), WEIGHTS[1], 2, 3.7))
+def test_distance_table_equals_dense_reference(case):
+    spec, weights, m, scale = case
+    graph = to_graph(build(spec), weights)
+    assert np.array_equal(distance_table(graph, m, scale), reference_table(graph, m, scale))

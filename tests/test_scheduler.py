@@ -1,4 +1,8 @@
 import itertools
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +12,8 @@ from scipy.sparse.csgraph import dijkstra
 from qccdc import (Circuit, DecayTable, DeviceFull, EventKind, Gate, Junction,
                    MappingParams, Path, SchedulerParams, SchedulerStuck, Strategy, Topology,
                    Trap, WeightParams, distance_table, gen_benchmark, grid_topology,
-                   initial_mapping, linear_topology, replay, schedule, star_topology,
-                   to_graph, topology_from_json)
+                   initial_mapping, linear_topology, parse_topology_spec, replay, schedule,
+                   star_topology, to_graph, topology_from_json)
 from qccdc.bench import qft
 from qccdc.device import EDGE_KINDS
 from qccdc.scheduler import _EscapePlanner, _trap_adjacency, candidates, plan_escape
@@ -79,6 +83,28 @@ def test_distance_table_truncation_oracle():
         else:
             # fallback: unrestricted shortest path
             assert table[u, v] == pytest.approx(full[u, v])
+
+
+def test_import_leaves_scipy_out():
+    import qccdc
+    src = str(pathlib.Path(qccdc.__file__).resolve().parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import qccdc; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_distance_table_peak_memory_on_270_slots():
+    """The dense min-plus step held an n x n x n array: 159 MB on L9:30."""
+    g = to_graph(parse_topology_spec("L9:30"), WeightParams())
+    tracemalloc.start()
+    try:
+        distance_table(g, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_decay_table_reset_window():

@@ -70,6 +70,27 @@ def test_move_between_unjoined_slots_is_a_violation():
     assert replay(bad) == ["event 0 (shuttle): no edge joins slots 1 and 4"]
 
 
+def test_gate_event_naming_no_gate_is_a_violation():
+    c = qft(4)
+    g = to_graph(parse_topology_spec("L2:3"), WeightParams())
+    s = schedule(c, g, initial_mapping(c, g, MappingParams()))
+    for gid in (99, None):
+        stray = EventRecord(EventKind.GATE, qubits=(0,), gate_id=gid)
+        bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping, s.heat)
+        assert replay(bad) == [f"event 0 (gate): no gate {gid!r} in the circuit"]
+
+
+def test_move_with_malformed_slots_is_a_violation():
+    c = qft(4)
+    g = to_graph(parse_topology_spec("L2:3"), WeightParams())
+    s = schedule(c, g, initial_mapping(c, g, MappingParams()))
+    for slots, msg in (((1,), "a move needs two slots, not (1,)"),
+                       ((None, 3), "no edge joins slots None and 3")):
+        stray = EventRecord(EventKind.SHIFT, qubits=(0,), slots=slots)
+        bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping, s.heat)
+        assert replay(bad) == [f"event 0 (shift): {msg}"]
+
+
 def test_cooling_shuttles_are_reported():
     """Only shuttles heat; a negative split/merge increment must still show
     up as a decrease on the shuttle's destination trap."""
