@@ -140,9 +140,9 @@ def cmd_compile(args) -> int:
 SWEEP_AXES = ("topology", "capacity", "gates", "mapping", "delta", "weight-ratio")
 
 
-def _sweep_job(payload):
-    base, axis, value = payload
-    args = argparse.Namespace(**vars(base))
+def _set_axis(args, axis: str, value: str):
+    """Set the swept option on ``args``; returns the capacity override and
+    the topology the row names.  A value the axis cannot take raises."""
     capacity = None
     label = args.topology
     if axis == "topology":
@@ -158,18 +158,25 @@ def _sweep_job(payload):
     elif axis == "delta":
         args.delta = float(value)
     elif axis == "weight-ratio":
-        r = float(value)
-        args.shuttle_weight = args.inner_weight * r
+        args.shuttle_weight = args.inner_weight * float(value)
+    return capacity, label
+
+
+def _sweep_job(payload):
+    base, axis, value = payload
+    args = argparse.Namespace(**vars(base))
+    label = args.topology
+    try:
+        capacity, label = _set_axis(args, axis, value)
+        result = {**run_compile(args, capacity), "status": "ok"}
+    except Exception as exc:  # record the failure, a bad value too; keep the sweep going
+        result = {"status": f"failed: {exc}"}
     row = {"axis": axis, "value": value, "topology": label,
            "mapping": args.mapping, "gates": args.gates, "delta": args.delta,
            "inner_weight": args.inner_weight, "shuttle_weight": args.shuttle_weight,
            "m": args.m, "a0": args.a0, "seed": args.seed,
            "circuit": args.gen or args.circuit}
-    try:
-        row.update(run_compile(args, capacity))
-        row["status"] = "ok"
-    except Exception as exc:  # record the failure, keep the sweep going
-        row["status"] = f"failed: {exc}"
+    row.update(result)
     return row
 
 
@@ -208,17 +215,20 @@ def cmd_oracle_check(args) -> int:
     done = 0
     while done < args.n:
         circuit, graph, mapping = random_instance(rng)
+        t0 = time.perf_counter()
         try:
             opt = exact_schedule(circuit, graph, mapping, limits)
         except ValueError:
             continue  # instance over limits, skip with a fresh draw
+        oracle_ms = (time.perf_counter() - t0) * 1e3
         if isinstance(opt, Infeasible):
             continue
         t0 = time.perf_counter()
         try:
             heur = schedule(circuit, graph, mapping)
         except Exception as exc:
-            rows.append({"instance": done, "status": f"heuristic failed: {exc}"})
+            rows.append({"instance": done, "status": f"heuristic failed: {exc}",
+                         "oracle_ms": oracle_ms})
             done += 1
             continue
         heur_cost = heur.inserted_weight
@@ -226,13 +236,15 @@ def cmd_oracle_check(args) -> int:
         ratio = heur_cost / opt_cost if opt_cost > 0 else (1.0 if heur_cost == 0 else float("inf"))
         rows.append({"instance": done, "status": "ok", "heuristic_cost": heur_cost,
                      "optimal_cost": opt_cost, "ratio": ratio,
-                     "heuristic_ms": (time.perf_counter() - t0) * 1e3})
+                     "heuristic_ms": (time.perf_counter() - t0) * 1e3,
+                     "oracle_ms": oracle_ms})
         done += 1
 
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.DictWriter(out, fieldnames=["instance", "status", "heuristic_cost",
-                                            "optimal_cost", "ratio", "heuristic_ms"],
+                                            "optimal_cost", "ratio", "heuristic_ms",
+                                            "oracle_ms"],
                            extrasaction="ignore")
         w.writeheader()
         for row in rows:

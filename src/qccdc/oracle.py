@@ -1,11 +1,32 @@
-"""Exact brute-force scheduling for tiny instances, plus idealized cost bounds.
+"""Exact scheduling for tiny instances, plus idealized cost bounds.
 
-The exact search runs uniform-cost search over (occupancy, executed-gate-set)
-states, expanding every valid generic swap; executable gates are always taken
-immediately since execution is free and only unlocks successors.  The
-objective is total inserted edge weight (the heuristic's own currency), with
-ties broken by fewer shuttles, then fewer SWAP gates, then the lexicographic
-action sequence, so results are deterministic.
+``exact_schedule`` runs A* (Hart, Nilsson & Raphael 1968) over
+(occupancy, executed-gate-set) states, expanding every valid generic swap.
+Executable gates are always taken at once, since execution is free and only
+unlocks successors.  The objective is lexicographic: total inserted edge
+weight (the heuristic's own currency), then fewer shuttles, then fewer SWAP
+gates.
+
+The lower bound h is the most trap hops between the two qubits of any
+unexecuted two-qubit gate, with hops counted by BFS over the trap pairs
+joined by a shuttle path.  Such a gate needs at least h shuttles, and each
+weighs at least w_min, the smallest shuttle-edge weight; so a state is
+pushed with key ``(weight + h * w_min, shuttles + h, swaps)``.  w_min is
+shrunk by a factor ``1 - 1e-9`` so that the float product never rounds above
+an exact float sum of h shuttle weights.  The bound is consistent: a
+shuttle moves one qubit one hop, so it lowers h by at most 1 while adding
+at least w_min and one shuttle; a SWAP or a space shift moves no qubit
+between traps, so it changes neither h nor which gates can run.  That is
+also why gate closure and h are recomputed only after a shuttle, and then
+only from the gates on the moved qubit and the successors of gates that run.
+
+Ties between equal-cost paths are broken by the edge sequence itself, each
+edge written (u, v) with u < v and sequences compared lexicographically:
+heap entries carry the path right after the key, and a state keeps the
+smallest (cost, path) that reached it.  Among equal-cost optima the search
+therefore returns the smallest edge sequence, deterministically.  States
+are deduplicated on (occupancy, executed set) regardless of depth, so the
+depth limit ``max_depth`` applies to the cheapest path to each state.
 """
 
 from __future__ import annotations
@@ -44,79 +65,122 @@ class BoundMode(enum.Enum):
 def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int],
                    limits: OracleLimits | None = None,
                    heat: HeatParams | None = None) -> Schedule | Infeasible:
-    """Minimum inserted-weight schedule by exhaustive search, or Infeasible."""
+    """Minimum inserted-weight schedule by A* search, or Infeasible."""
     limits = limits or OracleLimits()
     heat = heat or HeatParams()
-    two_q = [g for g in circuit.gates if g.is_two_qubit]
+    gates = circuit.gates
+    two_q = [g.id for g in gates if g.is_two_qubit]
     if graph.n_nodes > limits.max_nodes:
         raise ValueError(f"{graph.n_nodes} slots exceed the oracle limit {limits.max_nodes}")
     if len(two_q) > limits.max_gates:
         raise ValueError(f"{len(two_q)} two-qubit gates exceed the oracle limit")
 
-    dag = build_dag(circuit)
-    preds: list[set[int]] = [set() for _ in circuit.gates]
-    for g in circuit.gates:
-        for s in dag.succ[g.id]:
-            preds[s].add(g.id)
-    all_gates = frozenset(g.id for g in circuit.gates)
+    succ = build_dag(circuit).succ
+    preds: list[set[int]] = [set() for _ in gates]
+    for gid, later in enumerate(succ):
+        for s in later:
+            preds[s].add(gid)
+    on_qubit: dict[int, list[int]] = {}
+    for g in gates:
+        for q in g.qubits:
+            on_qubit.setdefault(q, []).append(g.id)
+    all_gates = frozenset(g.id for g in gates)
+    pairs = [g.qubits if g.is_two_qubit else None for g in gates]
 
-    base = MachineState(graph, mapping, heat)
     node_trap = graph.node_trap
-    edge_class = graph.edge_class.tolist()
+    hops = _trap_hops(graph)
+    moves = [(e.u, e.v, e.weight, EDGE_KINDS[cls])
+             for e, cls in zip(graph.edges, graph.edge_class.tolist())]
+    # shrunk so that h * w_min stays below any float sum of h shuttle weights
+    w_min = min((e.weight for e in graph.edges if e.is_shuttle), default=0.0) * (1 - 1e-9)
 
-    def run_free_gates(slots: tuple, executed: frozenset) -> frozenset:
-        """Close under free gate execution (occupancy is unaffected): a gate
-        runs once its predecessors have and its qubits share a trap, the rule
-        of ``run_ready_gates`` read from the search's slot tuples."""
-        node_of = {q: i for i, q in enumerate(slots) if q is not None}
-        changed = True
+    def close(slots: tuple, executed: frozenset, pending) -> tuple[frozenset, int]:
+        """Run the gates in ``pending``, and the successors of any that run,
+        once their predecessors have run and their qubits share a trap (the
+        rule of ``run_ready_gates``).  Returns the executed set and the bound
+        h: the most trap hops between the qubits of an unexecuted gate."""
         done = set(executed)
-        while changed:
-            changed = False
-            for g in circuit.gates:
-                if g.id in done or not preds[g.id] <= done:
-                    continue
-                if g.is_two_qubit and \
-                        node_trap[node_of[g.qubits[0]]] != node_trap[node_of[g.qubits[1]]]:
-                    continue
-                done.add(g.id)
-                changed = True
-        return frozenset(done)
+        stack = list(pending)
+        while stack:
+            gid = stack.pop()
+            if gid in done or not preds[gid] <= done:
+                continue
+            pair = pairs[gid]
+            if pair and node_trap[slots.index(pair[0])] != node_trap[slots.index(pair[1])]:
+                continue
+            done.add(gid)
+            stack.extend(succ[gid])
+        h = 0
+        for gid in two_q:
+            if gid not in done:
+                a, b = pairs[gid]
+                h = max(h, hops[node_trap[slots.index(a)]][node_trap[slots.index(b)]])
+        return frozenset(done), h
 
-    start_slots = tuple(base.slot_qubit)
-    start_exec = run_free_gates(start_slots, frozenset())
+    start_slots = tuple(MachineState(graph, mapping, heat).slot_qubit)
+    start_exec, start_h = close(start_slots, frozenset(),
+                                [g.id for g in gates if not preds[g.id]])
     start_cost = (0.0, 0, 0)
-    best_seen: dict[tuple, tuple] = {(start_slots, start_exec): start_cost}
-    counter = 0
-    heap = [(start_cost, counter, start_slots, start_exec, ())]
+    best_seen: dict[tuple, tuple] = {(start_slots, start_exec): (start_cost, ())}
+    heap = [((start_h * w_min, start_h, 0), (), start_cost, start_slots, start_exec, start_h)]
 
     while heap:
-        cost, _, slots, executed, path = heapq.heappop(heap)
-        if best_seen.get((slots, executed), cost) < cost:
+        _, path, cost, slots, executed, h = heapq.heappop(heap)
+        if best_seen[(slots, executed)] < (cost, path):
             continue
         if executed == all_gates:
             return _replay_path(circuit, graph, mapping, heat, path)
         if len(path) >= limits.max_depth:
             continue
-        for e, cls in zip(graph.edges, edge_class):
-            kind = EDGE_KINDS[cls][(slots[e.u] is not None) + (slots[e.v] is not None)]
+        weight, shuttles, swaps = cost
+        for u, v, w, kinds in moves:
+            kind = kinds[(slots[u] is not None) + (slots[v] is not None)]
             if kind is EdgeKind.INVALID:
                 continue
             new_slots = list(slots)
-            new_slots[e.u], new_slots[e.v] = new_slots[e.v], new_slots[e.u]
+            new_slots[u], new_slots[v] = slots[v], slots[u]
             new_slots = tuple(new_slots)
-            new_exec = run_free_gates(new_slots, executed)
-            new_cost = (cost[0] + e.weight,
-                        cost[1] + (1 if kind is EdgeKind.SHUTTLE else 0),
-                        cost[2] + (1 if kind is EdgeKind.QUBIT_SWAP else 0))
+            if kind is EdgeKind.SHUTTLE:
+                # only a shuttle changes a qubit's trap: gates on the moved
+                # qubit may now run, and the bound may change
+                moved = slots[u] if slots[u] is not None else slots[v]
+                pending = [gid for gid in on_qubit.get(moved, ()) if gid not in executed]
+                new_exec, new_h = close(new_slots, executed, pending) if pending \
+                    else (executed, h)
+                new_cost = (weight + w, shuttles + 1, swaps)
+            else:
+                new_exec, new_h = executed, h
+                new_cost = (weight + w, shuttles, swaps + (kind is EdgeKind.QUBIT_SWAP))
+            new_path = path + ((u, v),)
             key = (new_slots, new_exec)
-            if key in best_seen and best_seen[key] <= new_cost:
+            seen = best_seen.get(key)
+            if seen is not None and seen <= (new_cost, new_path):
                 continue
-            best_seen[key] = new_cost
-            counter += 1
-            heapq.heappush(heap, (new_cost, counter, new_slots, new_exec,
-                                  path + ((e.u, e.v),)))
+            best_seen[key] = (new_cost, new_path)
+            heapq.heappush(heap, ((new_cost[0] + new_h * w_min, new_cost[1] + new_h,
+                                   new_cost[2]), new_path, new_cost, new_slots, new_exec,
+                                  new_h))
     return Infeasible(limits.max_depth)
+
+
+def _trap_hops(graph: DeviceGraph) -> list[list[int]]:
+    """Trap-to-trap hop counts over the shuttle paths, by BFS from each trap."""
+    n = len(graph.topology.traps)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in graph.trap_paths:
+        adj[a].append(b)
+        adj[b].append(a)
+    hops = []
+    for src in range(n):
+        dist = {src: 0}
+        queue = [src]
+        for t in queue:  # the queue grows while it is walked
+            for nb in adj[t]:
+                if nb not in dist:
+                    dist[nb] = dist[t] + 1
+                    queue.append(nb)
+        hops.append([dist[t] for t in range(n)])
+    return hops
 
 
 def _replay_path(circuit, graph, mapping, heat, path) -> Schedule:

@@ -3,16 +3,17 @@
 Rebuilds machine state from the initial mapping and walks the event list,
 checking only what each event touches: a gate event names a gate of the
 circuit, which runs on co-trapped qubits in per-qubit circuit order; an
-inserted move names two slots joined by an edge, and the move is the
-generic swap that edge allows at that point; and a shuttle does not lower
-the heat of its two traps (no other event heats).  Occupancy
-and the qubit set need no check of their own: every move exchanges the
-contents of two slots, so no trap overfills and no qubit appears or
-vanishes.  It shares ``MachineState`` and its edge-kind table with the
-scheduler, so it checks the event list against that kernel, not the kernel
-itself: ``tests/test_scan_equivalence.py`` checks the table against the
-weight rule, and ``benchmarks/checker.py`` re-walks schedules without
-``MachineState`` at all.
+inserted move names two slots joined by an edge, the move is the generic
+swap that edge allows at that point, and every field in ``MOVE_FIELDS``
+equals the event ``MachineState.apply_generic_swap`` makes for that edge;
+and a shuttle does not lower the heat of its two traps (no other event
+heats).  Occupancy and the qubit set need no check of their own: every
+move exchanges the contents of two slots, so no trap overfills and no
+qubit appears or vanishes.  It shares ``MachineState`` and its edge-kind
+table with the scheduler, so it checks the event list against that kernel,
+not the kernel itself: ``tests/test_scan_equivalence.py`` checks the table
+against the weight rule, and ``benchmarks/checker.py`` re-walks schedules
+without ``MachineState`` at all.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .device import EdgeKind
 from .events import EventKind
 from .scheduler import Schedule
 from .state import MachineState
+
+# the fields of a move event that the edge and the replayed state fix
+MOVE_FIELDS = ("qubits", "slots", "traps", "weight", "segments", "junction_ids",
+               "junction_degrees", "chain_ions", "ion_dist")
 
 
 def replay(sched: Schedule) -> list[str]:
@@ -84,7 +89,12 @@ def replay(sched: Schedule) -> list[str]:
             traps = sorted((graph.node_trap[u], graph.node_trap[v])) \
                 if kind is EdgeKind.SHUTTLE else ()
             before = [state.nbar[t] for t in traps]
-            state.apply_generic_swap(graph.edge(u, v))
+            made = state.apply_generic_swap(graph.edge(u, v))
+            if ev != made:
+                for name in MOVE_FIELDS:
+                    got, want = getattr(ev, name), getattr(made, name)
+                    if got != want:
+                        violations.append(f"{where}: {name} is {got!r}, not {want!r}")
             for t, n in zip(traps, before):
                 if state.nbar[t] < n - 1e-12:
                     violations.append(f"{where}: nbar decreased in trap {t}")

@@ -156,12 +156,26 @@ def test_sweep_mapping_axis_records_failures(tmp_path, monkeypatch):
     assert rc == 1 or any(r["status"] == "ok" for r in rows)
 
 
+def test_sweep_bad_value_fails_one_row(tmp_path, monkeypatch):
+    monkeypatch.setenv("QCCD_SYNC_THREADS", "1")
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--gen", "qft:8", "--topology", "L2:6", "--axis", "capacity",
+               "--values", "6,x", "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["value"], r["status"]) for r in rows] == [
+        ("6", "ok"), ("x", "failed: invalid literal for int() with base 10: 'x'")]
+    assert rows[1]["topology"] == "L2:6"
+
+
 def test_oracle_check_csv(tmp_path):
     out = tmp_path / "oc.csv"
     rc = main(["oracle-check", "--n", "10", "--seed", "5", "--out", str(out)])
     assert rc == 0
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 10
+    assert list(rows[0])[-2:] == ["heuristic_ms", "oracle_ms"]
     for r in rows:
         if r["status"] == "ok":
             assert float(r["ratio"]) >= 1.0 - 1e-9
+            assert float(r["oracle_ms"]) >= 0.0

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -6,6 +7,82 @@ from qccdc import (BoundMode, Circuit, Gate, Infeasible, OracleLimits,
                    WeightParams, evaluate, exact_schedule, ideal_bounds,
                    linear_topology, random_instance, replay, schedule,
                    to_graph)
+from qccdc.circuit import build_dag
+from qccdc.device import EDGE_KINDS, EdgeKind
+from qccdc.state import MachineState
+
+
+def reference_exact(circuit, graph, mapping, limits=None):
+    """Uniform-cost search over (occupancy, executed-gate-set) states, with
+    no lower bound and a full gate rescan per expansion, under the same
+    limits and state deduplication as ``exact_schedule``: the reference its
+    optimum must equal.  Returns the optimal (weight, shuttles, swaps), or
+    Infeasible."""
+    limits = limits or OracleLimits()
+    dag = build_dag(circuit)
+    preds = [set() for _ in circuit.gates]
+    for g in circuit.gates:
+        for s in dag.succ[g.id]:
+            preds[s].add(g.id)
+    all_gates = frozenset(g.id for g in circuit.gates)
+    node_trap = graph.node_trap
+    edge_class = graph.edge_class.tolist()
+
+    def run_free_gates(slots, executed):
+        node_of = {q: i for i, q in enumerate(slots) if q is not None}
+        changed = True
+        done = set(executed)
+        while changed:
+            changed = False
+            for g in circuit.gates:
+                if g.id in done or not preds[g.id] <= done:
+                    continue
+                if g.is_two_qubit and \
+                        node_trap[node_of[g.qubits[0]]] != node_trap[node_of[g.qubits[1]]]:
+                    continue
+                done.add(g.id)
+                changed = True
+        return frozenset(done)
+
+    start_slots = tuple(MachineState(graph, mapping).slot_qubit)
+    start_exec = run_free_gates(start_slots, frozenset())
+    start_cost = (0.0, 0, 0)
+    best_seen = {(start_slots, start_exec): start_cost}
+    counter = 0
+    heap = [(start_cost, counter, start_slots, start_exec, 0)]
+    while heap:
+        cost, _, slots, executed, depth = heapq.heappop(heap)
+        if best_seen.get((slots, executed), cost) < cost:
+            continue
+        if executed == all_gates:
+            return cost
+        if depth >= limits.max_depth:
+            continue
+        for e, cls in zip(graph.edges, edge_class):
+            kind = EDGE_KINDS[cls][(slots[e.u] is not None) + (slots[e.v] is not None)]
+            if kind is EdgeKind.INVALID:
+                continue
+            new_slots = list(slots)
+            new_slots[e.u], new_slots[e.v] = new_slots[e.v], new_slots[e.u]
+            new_slots = tuple(new_slots)
+            new_exec = run_free_gates(new_slots, executed)
+            new_cost = (cost[0] + e.weight,
+                        cost[1] + (1 if kind is EdgeKind.SHUTTLE else 0),
+                        cost[2] + (1 if kind is EdgeKind.QUBIT_SWAP else 0))
+            key = (new_slots, new_exec)
+            if key in best_seen and best_seen[key] <= new_cost:
+                continue
+            best_seen[key] = new_cost
+            counter += 1
+            heapq.heappush(heap, (new_cost, counter, new_slots, new_exec, depth + 1))
+    return Infeasible(limits.max_depth)
+
+
+def optimum(res):
+    if isinstance(res, Infeasible):
+        return res
+    m = res.metrics
+    return res.inserted_weight, m["shuttles"], m["swap_gates"]
 
 
 def two_trap_setup():
@@ -83,3 +160,33 @@ def test_ideal_bounds_match_relax_flags():
         assert ideal_bounds(s, mode).success_rate == \
                evaluate(s, **flags).success_rate
         assert ideal_bounds(s, mode).success_rate >= base.success_rate
+
+
+@pytest.mark.parametrize("seed,draws,shape,depth", [
+    (2026, 150, {}, 8),
+    (31, 100, dict(max_traps=4, max_gates=5), 4),   # a third are Infeasible
+    (31, 60, dict(max_traps=4, max_gates=5, max_capacity=2), 8),
+])
+def test_a_star_matches_reference_search(seed, draws, shape, depth):
+    """A* returns the reference's optimum (weight under ==, shuttles, swaps)
+    and its Infeasible verdicts, with the same limits, on 310 draws."""
+    rng = random.Random(seed)
+    limits = OracleLimits(max_depth=depth)
+    for _ in range(draws):
+        c, g, m = random_instance(rng, **shape)
+        assert optimum(exact_schedule(c, g, m, limits)) == reference_exact(c, g, m, limits)
+
+
+def test_tie_break_is_the_smaller_edge_sequence():
+    """L3:3 with trap 1 empty: q0 at trap 0's end, q1 between q2 and q3 in
+    trap 2.  Every optimum swaps q1 out to slot 6 and shuttles q0 and q1 into
+    trap 1, at (4.001, 2, 1); they differ only in order and landing slots.
+    The smallest edge sequence shuttles q0 first: (2,3), (6,7), (5,6)."""
+    g = to_graph(linear_topology(3, 3), WeightParams())
+    c = Circuit(4, (Gate(0, "cx", (0, 1)),))
+    mapping = {0: 2, 1: 7, 2: 6, 3: 8}
+    s = exact_schedule(c, g, mapping)
+    assert optimum(s) == reference_exact(c, g, mapping) == (2.0 + 0.001 + 2.0, 2, 1)
+    moves = [tuple(sorted(e.slots)) for e in s.events if e.kind.value != "gate"]
+    assert moves == [(2, 3), (6, 7), (5, 6)]
+    assert not replay(s)

@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from qccdc import (EventKind, EventRecord, HeatParams, MappingParams, WeightParams,
                    grid_topology, initial_mapping, parse_topology_spec, replay, schedule,
                    to_graph)
@@ -101,3 +103,22 @@ def test_cooling_shuttles_are_reported():
     assert msgs and all("nbar decreased" in m for m in msgs)
     shuttles = sum(e.kind is EventKind.SHUTTLE for e in s.events)
     assert len(msgs) == shuttles
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    (EventKind.SHIFT, "weight", 0.002),
+    (EventKind.SHUTTLE, "weight", 1.0),
+    (EventKind.SHUTTLE, "segments", 2),
+    (EventKind.SHUTTLE, "junction_ids", (1,)),
+    (EventKind.SWAP, "ion_dist", 1),
+])
+def test_tampered_move_field_is_a_violation(kind, field, value):
+    """A move event must equal, field by field, the event the edge makes on
+    the replayed state; one changed field is exactly one violation."""
+    s = make_schedule()
+    events = list(s.events)
+    i = next(i for i, e in enumerate(events) if e.kind is kind)
+    was = getattr(events[i], field)
+    events[i] = dataclasses.replace(events[i], **{field: value})
+    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping, s.heat)
+    assert replay(bad) == [f"event {i} ({kind.value}): {field} is {value!r}, not {was!r}"]
