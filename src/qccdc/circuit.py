@@ -75,39 +75,50 @@ class DepGraph:
 
     An edge (g_i, g_j) means g_i is the most recent earlier gate sharing a
     qubit with g_j.  ``pop`` removes an executed frontier gate and promotes
-    any successor whose in-degree drops to zero.
+    any successor whose in-degree drops to zero; it returns those.
     """
 
     def __init__(self, circuit: Circuit):
         n = len(circuit.gates)
-        self.succ: list[list[int]] = [[] for _ in range(n)]
-        self.in_degree: list[int] = [0] * n
-        self.gates = circuit.gates
-        last_on_qubit: dict[int, int] = {}
+        succ: list[list[int]] = [[] for _ in range(n)]
+        in_degree = [0] * n
+        last_on_qubit = [-1] * circuit.n_qubits
+        # a gate's predecessors are the last gates on its qubits: at most two,
+        # and one when both qubits last met in the same gate
         for g in circuit.gates:
-            preds = set()
+            gid = g.id
+            prev = -1
             for q in g.qubits:
-                if q in last_on_qubit:
-                    preds.add(last_on_qubit[q])
-                last_on_qubit[q] = g.id
-            for p in sorted(preds):
-                self.succ[p].append(g.id)
-                self.in_degree[g.id] += 1
-        self.frontier: set[int] = {g.id for g in circuit.gates if self.in_degree[g.id] == 0}
+                p = last_on_qubit[q]
+                if p >= 0 and p != prev:
+                    succ[p].append(gid)
+                    in_degree[gid] += 1
+                last_on_qubit[q] = gid
+                prev = p
+        self.succ = succ
+        self.in_degree = in_degree
+        self.gates = circuit.gates
+        self.frontier: set[int] = {gid for gid in range(n) if in_degree[gid] == 0}
         self._remaining = n
 
     def __len__(self):
         return self._remaining
 
-    def pop(self, gate_id: int) -> None:
+    def pop(self, gate_id: int) -> list[int]:
+        """Remove an executed frontier gate; returns the successors it
+        promoted to the frontier, in ascending id."""
         if gate_id not in self.frontier:
             raise ValueError(f"gate {gate_id} is not in the frontier")
         self.frontier.remove(gate_id)
         self._remaining -= 1
+        promoted = []
+        in_degree = self.in_degree
         for s in self.succ[gate_id]:
-            self.in_degree[s] -= 1
-            if self.in_degree[s] == 0:
-                self.frontier.add(s)
+            in_degree[s] -= 1
+            if in_degree[s] == 0:
+                promoted.append(s)
+        self.frontier.update(promoted)
+        return promoted
 
 
 def build_dag(circuit: Circuit) -> DepGraph:
@@ -120,18 +131,38 @@ def build_dag(circuit: Circuit) -> DepGraph:
 # ---------------------------------------------------------------------------
 
 _QARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
+_QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
+_GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^)]*)\))?\s+(.*)$")
+_EXPR_RE = re.compile(r"[0-9eE\.\+\-\*/\(\) pi]*")
+# A plain numeric angle: an OpenQASM real or nninteger with an optional sign,
+# the form ``to_qasm`` writes with ``repr``.  ``float`` reads each of these to
+# the bits ``eval`` gives; every other angle goes through ``eval``.  Two
+# integer forms are left out because the two differ there: a signed zero
+# (``eval`` makes ``-0`` the integer 0, so +0.0) and integers of over 308
+# digits (``eval`` overflows making them floats, or hits the digit limit).
+_LITERAL_RE = re.compile(r" *(?:[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                         r"|[0-9]+[eE][+-]?[0-9]+|[1-9][0-9]{0,307})|0+) *")
 
 _PARAM_NAMES = {"pi": math.pi}
 
 
 def _eval_param(expr: str, line_no: int) -> float:
-    """Evaluate a constant angle expression (numbers, pi, + - * / and parens)."""
-    if not re.fullmatch(r"[0-9eE\.\+\-\*/\(\) pi]*", expr):
-        raise QasmError(f"unsupported parameter expression '{expr}'", line_no)
-    try:
-        return float(eval(expr, {"__builtins__": {}}, _PARAM_NAMES))  # noqa: S307
-    except Exception as exc:
-        raise QasmError(f"bad parameter expression '{expr}': {exc}", line_no) from exc
+    """Evaluate a constant angle expression (numbers, pi, + - * / and parens)
+    to a finite float."""
+    if _LITERAL_RE.fullmatch(expr):
+        value = float(expr)
+    else:
+        if not _EXPR_RE.fullmatch(expr):
+            raise QasmError(f"unsupported parameter expression '{expr}'", line_no)
+        if "**" in expr:  # where ``2**2**24`` would build a 16-Mbit integer
+            raise QasmError(f"OpenQASM 2.0 has no '**' operator: '{expr}'", line_no)
+        try:
+            value = float(eval(expr, {"__builtins__": {}}, _PARAM_NAMES))  # noqa: S307
+        except Exception as exc:
+            raise QasmError(f"bad parameter expression '{expr}': {exc}", line_no) from exc
+    if not math.isfinite(value):
+        raise QasmError(f"parameter expression '{expr}' is not finite", line_no)
+    return value
 
 
 def parse_qasm(text: str, name: str = "qasm") -> Circuit:
@@ -140,7 +171,9 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
     Supported statements: a single qreg, creg (ignored), the one- and
     two-qubit gates in ONE_QUBIT_GATES / TWO_QUBIT_GATES, ``swap`` (expanded
     into the standard 3-CNOT sequence so explicit swaps count as two-qubit
-    gates), barrier and measure (both dropped).
+    gates), barrier and measure (both dropped).  An angle is a constant
+    expression of numbers, ``pi``, ``+ - * /`` and parentheses with a finite
+    value.
     """
     n_qubits = None
     qreg_name = None
@@ -181,7 +214,7 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
         if head == "openqasm" or head == "include":
             continue
         if head == "qreg":
-            m = re.match(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$", stmt)
+            m = _QREG_RE.match(stmt)
             if not m:
                 raise QasmError(f"bad qreg declaration '{stmt}'", ln)
             if n_qubits is not None:
@@ -193,7 +226,7 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
         if n_qubits is None:
             raise QasmError("gate statement before qreg declaration", ln)
 
-        m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^)]*)\))?\s+(.*)$", stmt)
+        m = _GATE_RE.match(stmt)
         if not m:
             raise QasmError(f"cannot parse statement '{stmt}'", ln)
         gate_name = m.group(1).lower()

@@ -43,14 +43,13 @@ def dag_layers(circuit: Circuit) -> list[int]:
     return layer
 
 
-def _interaction_order(circuit: Circuit) -> list[int]:
+def _interaction_order(circuit: Circuit, layers: list[int]) -> list[int]:
     """Order qubits so strongly-interacting ones are adjacent in the sequence.
 
     Pairwise weight sums 1/(1+layer) over shared two-qubit gates, so early
     gates dominate; qubits are then emitted greedily next to their heaviest
-    already-placed partner.
+    already-placed partner.  ``layers`` is ``dag_layers(circuit)``.
     """
-    layers = dag_layers(circuit)
     pair_w: dict[tuple[int, int], float] = {}
     total = [0.0] * circuit.n_qubits
     for g in circuit.gates:
@@ -107,27 +106,35 @@ def _pack_with_reserve(order: list[int], topology: Topology) -> dict[int, int]:
     return assignment
 
 
-def first_level(circuit: Circuit, topology: Topology,
-                params: MappingParams) -> dict[int, int]:
-    """Assign each logical qubit to a trap according to the chosen strategy."""
+def first_level(circuit: Circuit, topology: Topology, params: MappingParams,
+                layers: list[int] | None = None) -> dict[int, int]:
+    """Assign each logical qubit to a trap according to the chosen strategy.
+
+    ``layers`` is ``dag_layers(circuit)`` when the caller has it already."""
     n = circuit.n_qubits
     traps = topology.traps
     if params.strategy is Strategy.EVEN_DIVIDED:
         if -(-n // len(traps)) > min(t.capacity for t in traps):
             raise ValueError("circuit does not fit with an even division")
+        if len(traps) > 1 and n == sum(t.capacity for t in traps):
+            raise ValueError(f"an even division of {n} qubits fills every trap, "
+                             f"so no qubit can be shuttled")
         return {q: traps[q % len(traps)].id for q in range(n)}
     if params.strategy is Strategy.GATHERING:
         return _pack_with_reserve(list(range(n)), topology)
     if params.strategy is Strategy.STA:
-        return _pack_with_reserve(_interaction_order(circuit), topology)
+        if layers is None:
+            layers = dag_layers(circuit)
+        return _pack_with_reserve(_interaction_order(circuit, layers), topology)
     raise ValueError(f"unknown strategy {params.strategy}")
 
 
-def interaction_scores(circuit: Circuit, trap_assignment: dict[int, int],
-                       k: int) -> dict[int, tuple[int, int]]:
+def interaction_scores(circuit: Circuit, trap_assignment: dict[int, int], k: int,
+                       layers: list[int] | None = None) -> dict[int, tuple[int, int]]:
     """Per-qubit (E, I): cross-trap vs same-trap gate partners within the
-    first k DAG layers."""
-    layers = dag_layers(circuit)
+    first k DAG layers (``layers`` as in ``first_level``)."""
+    if layers is None:
+        layers = dag_layers(circuit)
     E = {q: 0 for q in range(circuit.n_qubits)}
     I = {q: 0 for q in range(circuit.n_qubits)}
     for g in circuit.gates:
@@ -181,6 +188,7 @@ def initial_mapping(circuit: Circuit, graph: DeviceGraph,
                     params: MappingParams | None = None) -> dict[int, int]:
     """Full two-level placement: logical qubit -> slot node."""
     params = params or MappingParams()
-    assignment = first_level(circuit, graph.topology, params)
-    scores = interaction_scores(circuit, assignment, params.lookahead_k)
+    layers = dag_layers(circuit)
+    assignment = first_level(circuit, graph.topology, params, layers)
+    scores = interaction_scores(circuit, assignment, params.lookahead_k, layers)
     return second_level(graph, assignment, scores, params)

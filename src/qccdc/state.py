@@ -6,7 +6,11 @@ depending only on the edge and on which endpoints hold ions.  The graph fixes
 each edge's class once; ``MachineState`` keeps a 0/1 occupancy per slot, and
 ``classify`` looks the kind up in ``EDGE_KINDS``.  A two-qubit gate can run
 exactly when its qubits share a trap (``co_trapped``), and
-``run_ready_gates`` is the one routine that runs ready gates.
+``run_ready_gates`` is the one routine that runs ready gates.  It passes
+over the whole frontier once and then over only the gates each pass
+promoted: gates move no ion, so a gate a pass skips stays blocked until the
+next move.  ``ion_distance`` counts the trap's spaces between two qubits
+instead of walking the slots there.
 
 One compile job owns one MachineState.  Every structural change goes through
 ``_exchange``, called by ``apply_generic_swap`` for real moves and by the
@@ -71,14 +75,19 @@ class MachineState:
         return self.graph.topology.trap(trap_id).capacity - self.space_count[trap_id]
 
     def ion_distance(self, qa: int, qb: int) -> int:
-        """Ions strictly between two co-trapped qubits (spaces not counted)."""
+        """Ions strictly between two co-trapped qubits (spaces not counted):
+        the slots between them less the trap's spaces there."""
         na, nb = self.mapping[qa], self.mapping[qb]
         ta, tb = self.graph.node_trap[na], self.graph.node_trap[nb]
         if ta != tb:
             raise ValueError(f"qubits {qa} and {qb} are in different traps")
-        lo, hi = sorted((self.graph.node_pos[na], self.graph.node_pos[nb]))
-        slots = self.graph.trap_slots[ta]
-        return sum(1 for p in range(lo + 1, hi) if self.slot_qubit[slots[p]] is not None)
+        pa, pb = self.graph.node_pos[na], self.graph.node_pos[nb]
+        lo, hi = (pa, pb) if pa < pb else (pb, pa)
+        ions = hi - lo - 1
+        for p in self.spaces[ta]:
+            if lo < p < hi:
+                ions -= 1
+        return ions
 
     def classify(self, u: int, v: int) -> EdgeKind:
         """The generic swap edge (u, v) allows now; KeyError if there is no edge."""
@@ -181,26 +190,34 @@ class MachineState:
 def run_ready_gates(state: MachineState, dag: DepGraph, events: list[EventRecord]) -> int:
     """Run every ready gate whose qubits share a trap, appending its event.
 
-    Passes over the frontier in ascending gate id until a pass runs nothing,
-    so a gate promoted during a pass runs in the next one.  Gates change no
-    placement, so the order only fixes the event list.  Returns how many ran.
+    The first pass goes over the frontier in ascending gate id; each later
+    pass goes over only the gates the pass before promoted, in ascending id,
+    until a pass promotes none.  A gate a pass skips stays blocked in the
+    next one, because gates move no ion, so this emits the events of passes
+    over the whole frontier to a fixpoint.  Returns how many ran.
     """
     mapping, node_trap = state.mapping, state.graph.node_trap
+    gates = dag.gates
     ran = 0
-    progress = True
-    while progress:
-        progress = False
-        for gid in sorted(dag.frontier):
-            g = dag.gates[gid]
-            if g.is_two_qubit and not state.co_trapped(*g.qubits):
-                continue
-            slots = tuple(mapping[q] for q in g.qubits)
+    todo = sorted(dag.frontier)
+    while todo:
+        promoted = []
+        for gid in todo:
+            g = gates[gid]
+            qubits = g.qubits
+            if len(qubits) == 2:
+                if not state.co_trapped(*qubits):
+                    continue
+                slots = (mapping[qubits[0]], mapping[qubits[1]])
+                dist = state.ion_distance(*qubits)
+            else:
+                slots = (mapping[qubits[0]],)
+                dist = 0
             trap = node_trap[slots[0]]
             events.append(EventRecord(
-                EventKind.GATE, qubits=g.qubits, gate_id=gid, label=g.label, slots=slots,
-                traps=(trap,), chain_ions=state.chain_length(trap),
-                ion_dist=state.ion_distance(*g.qubits) if g.is_two_qubit else 0))
-            dag.pop(gid)
-            progress = True
+                EventKind.GATE, qubits=qubits, gate_id=gid, label=g.label, slots=slots,
+                traps=(trap,), chain_ions=state.chain_length(trap), ion_dist=dist))
+            promoted += dag.pop(gid)
             ran += 1
+        todo = sorted(promoted)
     return ran

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,3 +110,28 @@ def test_qasm_roundtrip_property(c):
     again = parse_qasm(to_qasm(c))
     assert [(g.label, g.qubits) for g in again.gates] == \
            [(g.label, g.qubits) for g in c.gates]
+
+
+@pytest.mark.parametrize("angle", ["1e999", "-1e999", "1e308*10", "1e999-1e999"])
+def test_non_finite_angle_rejected(angle):
+    with pytest.raises(QasmError, match="not finite") as exc:
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("angle", ["2**3", "2**2**24", "9**9**9"])
+def test_power_operator_rejected_before_evaluation(angle):
+    """``**`` is no OpenQASM 2.0 operator; rejecting it before ``eval`` keeps
+    ``9**9**9`` from building a gigabit integer."""
+    with pytest.raises(QasmError, match=r"\*\*") as exc:
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrz({angle}) q[0];\n")
+    assert exc.value.line == 4
+
+
+def test_plain_literals_read_as_python_literals():
+    c = parse_qasm("qreg q[1];\nrz(-0.0) q[0];\nrz(.5) q[0];\nrz( 1e5 ) q[0];\nrz(-0) q[0];\n")
+    assert [math.copysign(1.0, g.param) for g in c.gates] == [-1.0, 1.0, 1.0, 1.0]
+    assert [g.param for g in c.gates] == [0.0, 0.5, 1e5, 0.0]
+    for bad in ("01", "1_0"):
+        with pytest.raises(QasmError):
+            parse_qasm(f"qreg q[1];\nrz({bad}) q[0];\n")

@@ -1,8 +1,9 @@
 import pytest
 
-from qccdc import (Circuit, Gate, MappingParams, Strategy, WeightParams,
+from qccdc import (Circuit, Gate, MappingParams, Strategy, Topology, Trap, WeightParams,
                    first_level, grid_topology, initial_mapping,
                    interaction_scores, linear_topology, second_level, to_graph)
+from qccdc import mapping as mapping_mod
 from qccdc.bench import qft
 from qccdc.mapping import dag_layers
 
@@ -95,6 +96,31 @@ def test_initial_mapping_is_injective_and_fits():
         assert len(set(m.values())) == 10
         for q, node in m.items():
             assert 0 <= node < g.n_nodes
+
+
+def test_even_division_filling_every_trap_rejected():
+    """A full multi-trap device leaves no space to shuttle into; a single
+    trap needs no shuttle."""
+    params = MappingParams(strategy=Strategy.EVEN_DIVIDED)
+    with pytest.raises(ValueError, match="fills every trap"):
+        first_level(qft(6), linear_topology(2, 3), params)
+    one_trap = Topology((Trap(0, 4),), (), ())
+    assert first_level(chain_circuit(4), one_trap, params) == dict.fromkeys(range(4), 0)
+    assert first_level(qft(5), linear_topology(2, 3), params) == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
+
+
+def test_sta_mapping_builds_the_dag_once(monkeypatch):
+    calls = []
+    real = mapping_mod.build_dag
+    monkeypatch.setattr(mapping_mod, "build_dag", lambda c: calls.append(c) or real(c))
+    c = qft(6)
+    graph = to_graph(linear_topology(3, 4))
+    got = initial_mapping(c, graph, MappingParams(strategy=Strategy.STA))
+    assert len(calls) == 1
+    params = MappingParams(strategy=Strategy.STA)
+    assignment = first_level(c, graph.topology, params)
+    assert got == second_level(graph, assignment,
+                               interaction_scores(c, assignment, params.lookahead_k), params)
 
 
 def test_even_divided_overflow():

@@ -246,7 +246,11 @@ def test_parallel_path_tie_keeps_the_first_listed():
 def test_full_device_raises_device_full():
     c = qft(8)
     g = to_graph(linear_topology(2, 4), WeightParams())
-    m = initial_mapping(c, g, MappingParams(strategy=Strategy.EVEN_DIVIDED))
+    # the even division that fills both traps; ``initial_mapping`` now
+    # refuses it, so the schedule gets it directly
+    with pytest.raises(ValueError, match="fills every trap"):
+        initial_mapping(c, g, MappingParams(strategy=Strategy.EVEN_DIVIDED))
+    m = {q: g.trap_slots[q % 2][q // 2] for q in range(8)}
     with pytest.raises(DeviceFull, match="every trap is full"):
         schedule(c, g, m)
     assert issubclass(DeviceFull, ValueError)
