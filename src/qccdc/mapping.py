@@ -106,35 +106,46 @@ def _pack_with_reserve(order: list[int], topology: Topology) -> dict[int, int]:
     return assignment
 
 
-def first_level(circuit: Circuit, topology: Topology, params: MappingParams,
-                layers: list[int] | None = None) -> dict[int, int]:
-    """Assign each logical qubit to a trap according to the chosen strategy.
+def first_level(circuit: Circuit, topology: Topology,
+                params: MappingParams) -> dict[int, int]:
+    """Assign each logical qubit to a trap according to the chosen strategy."""
+    return _first_level(circuit, topology, params, dag_layers(circuit))
 
-    ``layers`` is ``dag_layers(circuit)`` when the caller has it already."""
+
+def _first_level(circuit: Circuit, topology: Topology, params: MappingParams,
+                 layers: list[int]) -> dict[int, int]:
+    """``first_level`` with ``layers = dag_layers(circuit)`` given."""
     n = circuit.n_qubits
     traps = topology.traps
     if params.strategy is Strategy.EVEN_DIVIDED:
         if -(-n // len(traps)) > min(t.capacity for t in traps):
             raise ValueError("circuit does not fit with an even division")
-        if len(traps) > 1 and n == sum(t.capacity for t in traps):
-            raise ValueError(f"an even division of {n} qubits fills every trap, "
-                             f"so no qubit can be shuttled")
-        return {q: traps[q % len(traps)].id for q in range(n)}
+        assignment = {q: traps[q % len(traps)].id for q in range(n)}
+        if n == sum(t.capacity for t in traps):
+            for g in circuit.gates:
+                if g.is_two_qubit and assignment[g.qubits[0]] != assignment[g.qubits[1]]:
+                    raise ValueError(
+                        f"an even division of {n} qubits fills every trap, but gate "
+                        f"{g.id} ({g.label} {g.qubits}) spans two traps and no qubit "
+                        f"can be shuttled")
+        return assignment
     if params.strategy is Strategy.GATHERING:
         return _pack_with_reserve(list(range(n)), topology)
     if params.strategy is Strategy.STA:
-        if layers is None:
-            layers = dag_layers(circuit)
         return _pack_with_reserve(_interaction_order(circuit, layers), topology)
     raise ValueError(f"unknown strategy {params.strategy}")
 
 
-def interaction_scores(circuit: Circuit, trap_assignment: dict[int, int], k: int,
-                       layers: list[int] | None = None) -> dict[int, tuple[int, int]]:
+def interaction_scores(circuit: Circuit, trap_assignment: dict[int, int],
+                       k: int) -> dict[int, tuple[int, int]]:
     """Per-qubit (E, I): cross-trap vs same-trap gate partners within the
-    first k DAG layers (``layers`` as in ``first_level``)."""
-    if layers is None:
-        layers = dag_layers(circuit)
+    first k DAG layers."""
+    return _interaction_scores(circuit, trap_assignment, k, dag_layers(circuit))
+
+
+def _interaction_scores(circuit: Circuit, trap_assignment: dict[int, int], k: int,
+                        layers: list[int]) -> dict[int, tuple[int, int]]:
+    """``interaction_scores`` with ``layers = dag_layers(circuit)`` given."""
     E = {q: 0 for q in range(circuit.n_qubits)}
     I = {q: 0 for q in range(circuit.n_qubits)}
     for g in circuit.gates:
@@ -189,6 +200,6 @@ def initial_mapping(circuit: Circuit, graph: DeviceGraph,
     """Full two-level placement: logical qubit -> slot node."""
     params = params or MappingParams()
     layers = dag_layers(circuit)
-    assignment = first_level(circuit, graph.topology, params, layers)
-    scores = interaction_scores(circuit, assignment, params.lookahead_k, layers)
+    assignment = _first_level(circuit, graph.topology, params, layers)
+    scores = _interaction_scores(circuit, assignment, params.lookahead_k, layers)
     return second_level(graph, assignment, scores, params)

@@ -2,7 +2,8 @@ import pytest
 
 from qccdc import (Circuit, Gate, MappingParams, Strategy, Topology, Trap, WeightParams,
                    first_level, grid_topology, initial_mapping,
-                   interaction_scores, linear_topology, second_level, to_graph)
+                   interaction_scores, linear_topology, schedule, second_level,
+                   to_graph)
 from qccdc import mapping as mapping_mod
 from qccdc.bench import qft
 from qccdc.mapping import dag_layers
@@ -99,11 +100,16 @@ def test_initial_mapping_is_injective_and_fits():
 
 
 def test_even_division_filling_every_trap_rejected():
-    """A full multi-trap device leaves no space to shuttle into; a single
-    trap needs no shuttle."""
+    """A full multi-trap device leaves no space to shuttle into, so a gate
+    across two traps can never run; gates inside one trap need no shuttle,
+    and neither does a single trap."""
     params = MappingParams(strategy=Strategy.EVEN_DIVIDED)
-    with pytest.raises(ValueError, match="fills every trap"):
+    with pytest.raises(ValueError, match=r"fills every trap, but gate 1 \(cx \(1, 0\)\)"):
         first_level(qft(6), linear_topology(2, 3), params)
+    local = Circuit(4, (Gate(0, "h", (1,)), Gate(1, "cx", (0, 2)), Gate(2, "cx", (3, 1))))
+    assert first_level(local, linear_topology(2, 2), params) == {0: 0, 1: 1, 2: 0, 3: 1}
+    graph = to_graph(linear_topology(2, 2))
+    assert len(schedule(local, graph, initial_mapping(local, graph, params)).events) == 3
     one_trap = Topology((Trap(0, 4),), (), ())
     assert first_level(chain_circuit(4), one_trap, params) == dict.fromkeys(range(4), 0)
     assert first_level(qft(5), linear_topology(2, 3), params) == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}

@@ -1,11 +1,12 @@
 """Record a parent-versus-change benchmark comparison as ``BENCH_<n>.json``.
 
     python3 tools/bench_record.py --parent ../parent --change . --runs 10 \\
-        --first-seed 11 --seconds 25 --out BENCH_10.json
+        --first-seed 11 --out BENCH_10.json
 
 ``--parent`` and ``--change`` are two checkouts of this repository.  For
-every workload, each of ``--runs`` seeds from ``--first-seed`` on runs
-``benchmarks/run.py`` once in each checkout with that seed: a pair.  Pairs
+every workload of ``BENCHMARK.json``, each of ``--runs`` seeds from
+``--first-seed`` on runs ``benchmarks/run.py`` for the file's
+``run_seconds`` once in each checkout with that seed: a pair.  Pairs
 alternate which side runs first, so both sides share the host's slow and
 fast spells.  The output holds,
 per workload and side, the median and quartiles of the eight end-to-end
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy
 
-WORKLOADS = ("route_heavy", "deep_local", "device_scale", "oracle_gap")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -67,21 +68,21 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=25.0)
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
 
     record = {"python": platform.python_version(), "numpy": numpy.__version__,
-              "cpu": cpu_model(), "runs": args.runs, "seconds": args.seconds,
+              "cpu": cpu_model(), "runs": args.runs, "seconds": seconds,
               "seeds": list(range(args.first_seed, args.first_seed + args.runs)),
               "workloads": {}}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         sides = {"parent": [], "change": []}
         for i, seed in enumerate(record["seeds"]):
             order = [("parent", args.parent), ("change", args.change)]
             for side, checkout in order[::-1] if i % 2 else order:
-                sides[side].append(run_once(checkout, workload, seed, args.seconds))
+                sides[side].append(run_once(checkout, workload, seed, seconds))
                 print(f"{workload} seed {seed} {side} done", file=sys.stderr, flush=True)
         record["workloads"][workload] = {side: summary(results)
                                          for side, results in sides.items()}
