@@ -130,8 +130,8 @@ def build_dag(circuit: Circuit) -> DepGraph:
 # OpenQASM 2.0 subset
 # ---------------------------------------------------------------------------
 
-_QARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
-_QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$")
+_QARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\]$")
+_QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\]$")
 _GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^)]*)\))?\s+(.*)$")
 _EXPR_RE = re.compile(r"[0-9eE\.\+\-\*/\(\) pi]*")
 # A plain numeric angle: an OpenQASM real or nninteger with an optional sign,

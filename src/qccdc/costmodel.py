@@ -51,10 +51,13 @@ class CostParams:
     def __post_init__(self):
         if not 0 < self.single_qubit_fidelity <= 1:
             raise ValueError("single_qubit_fidelity must be in (0, 1]")
-        for name in ("single_qubit_duration", "move_us", "split_us", "merge_us",
-                     "junction_base_us", "junction_per_path_us", "space_shift_us",
-                     "swap_gate_multiplier"):
-            if getattr(self, name) < 0:
+        # a negative heating rate or error scale would lift the success
+        # probability above the noise-free one; a negative duration would
+        # start later events before time 0; NaN fails the test too
+        for name in ("gamma", "k1", "k2", "a0", "single_qubit_duration", "move_us",
+                     "split_us", "merge_us", "junction_base_us", "junction_per_path_us",
+                     "space_shift_us", "swap_gate_multiplier"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
 

@@ -27,9 +27,15 @@ couple of scans per ``schedule`` call) a numpy-only scorer made compiles
 slower.
 
 Path distances ignore occupancy (they measure geometry, not immediate
-feasibility), so they are precomputed once per graph into a dense table:
-``m`` min-plus steps give the cheapest path with at most ``m`` intermediate
-nodes, and pairs out of that range take the shortest path.  The slot graph is
+feasibility): ``m`` min-plus steps give the cheapest path with at most ``m``
+intermediate nodes, and pairs out of that range take the shortest path.
+Every score reads the row of a frontier gate's first qubit, now or after
+one candidate move, and rows do not depend on each other.  So ``schedule``
+computes rows one trap block at a time, only for the traps a qubit can be
+scored from: its own trap and, from an end slot, the traps one shuttle
+away.  It fills those for the initial mapping, then after each move for the
+qubits the move touched; a short circuit on a large device reaches few
+traps.  The slot graph is
 block-structured: each trap is a complete block of intra edges, and shuttle
 edges join end slots only.  So a step forms, for each entry, only the sums
 over its own trap's slots and, at an end slot, over the end slots; every
@@ -150,13 +156,18 @@ class Schedule:
         return sum(e.weight for e in self.events)
 
 
-def distance_table(graph: DeviceGraph, m: int, scale: float = 1.0) -> np.ndarray:
-    """Dense node-to-node distance: cheapest path with <= m intermediates,
-    falling back to the unrestricted shortest path where truncation fails.
+def distance_table(graph: DeviceGraph, m: int, scale: float = 1.0,
+                   traps=None) -> np.ndarray:
+    """Node-to-node distance: cheapest path with <= m intermediates, falling
+    back to the unrestricted shortest path where truncation fails.
 
-    Weights are divided by ``scale`` so callers can work in normalized units
-    (the heuristic divides by shuttle_base to keep its arithmetic bit-exact
-    when all weights are multiplied by a common factor)."""
+    Returns the rows of the slots of ``traps`` (each trap's slots in order,
+    traps in the order given), or the full n x n table when ``traps`` is
+    None.  Rows do not depend on each other, so a row is the same bit for
+    bit whichever rows are computed with it.  Weights are divided by
+    ``scale`` so callers can work in normalized units (the heuristic divides
+    by shuttle_base to keep its arithmetic bit-exact when all weights are
+    multiplied by a common factor)."""
     n_traps = len(graph.trap_slots)
     cap = max(len(slots) for slots in graph.trap_slots.values())
     size = n_traps * cap
@@ -185,7 +196,8 @@ def distance_table(graph: DeviceGraph, m: int, scale: float = 1.0) -> np.ndarray
         np.minimum(best_ends, via.reshape(best_ends.shape), out=best_ends)
         return best.reshape(len(d), size)
 
-    d = w[col]
+    sources = col if traps is None else col[[s for t in traps for s in graph.trap_slots[t]]]
+    d = w[sources]
     for _ in range(m):  # m min-plus steps on top of w: paths of <= m+1 edges
         d = step(d)
     table = d[:, col]
@@ -428,6 +440,17 @@ def plan_escape(state: MachineState, graph: DeviceGraph, trap_adj,
 # Main loop
 # ---------------------------------------------------------------------------
 
+def _reach(graph: DeviceGraph, trap_adj) -> list[tuple[int, ...]]:
+    """Per slot, the traps whose distance rows a qubit there can be scored
+    from: its own trap and, from an end slot, each trap one shuttle away."""
+    reach: list[tuple[int, ...]] = [()] * graph.n_nodes
+    for t, slots in graph.trap_slots.items():
+        for s in slots:
+            reach[s] = (t,)
+        reach[slots[0]] = reach[slots[-1]] = (t,) + tuple(nb for nb, _ in trap_adj[t])
+    return reach
+
+
 def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, int],
              params: SchedulerParams | None = None,
              heat: HeatParams | None = None) -> Schedule:
@@ -441,9 +464,26 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
     state = MachineState(graph, initial_mapping, heat)
     dag = build_dag(circuit)
     norm = graph.params.shuttle_base
-    dist_array = distance_table(graph, params.m, scale=norm)
-    dist = dist_array.tolist()
     trap_adj = _trap_adjacency(graph)
+    reach = _reach(graph, trap_adj)
+    # unfilled distance rows stay NaN in ``dist_array`` and None in ``dist``
+    dist_array = np.full((graph.n_nodes, graph.n_nodes), np.nan)
+    dist: list[list[float] | None] = [None] * graph.n_nodes
+    unfilled = set(graph.trap_slots)
+
+    def fill_reach(qubits):
+        """Fill the rows of the traps the qubits' slots reach, where not yet filled."""
+        traps = sorted({t for q in qubits for t in reach[state.mapping[q]] if t in unfilled})
+        if not traps:
+            return
+        rows = [s for t in traps for s in graph.trap_slots[t]]
+        # looked up at call time: the benchmark's tracer wraps it
+        block = distance_table(graph, params.m, scale=norm, traps=traps)
+        dist_array[rows] = block
+        for s, row in zip(rows, block.tolist()):
+            dist[s] = row
+        unfilled.difference_update(traps)
+
     decay = DecayTable(params.decay_reset_window)
     remaining_uses = [0] * circuit.n_qubits
     for g in circuit.gates:
@@ -470,6 +510,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         nonlocal iteration, prev_edge, swaps_since_gate
         ev = state.apply_generic_swap(e)
         events.append(ev)
+        fill_reach(ev.qubits)
         iteration += 1
         decay.touch(ev.qubits, iteration)
         prev_edge = (e.u, e.v)
@@ -478,6 +519,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
             raise SchedulerStuck(dag.frontier, iteration)
         run_gates()
 
+    fill_reach(state.mapping)
     run_gates()
     while len(dag):
         frontier_gates = []

@@ -44,6 +44,17 @@ def test_errors_carry_line_numbers():
         parse_qasm("OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\n")
 
 
+@pytest.mark.parametrize("text", [
+    "qreg q[٣];\ncx q[٠], q[٢];\n",      # Arabic-Indic digits
+    "qreg q[3];\ncx q[٠], q[2];\n",
+    "qreg q[３];\nh q[0];\n",                         # fullwidth digit
+])
+def test_non_ascii_digits_rejected(text):
+    """OpenQASM 2.0 integers are ASCII; ``int()`` would read other digits."""
+    with pytest.raises(QasmError):
+        parse_qasm(text)
+
+
 def test_roundtrip():
     c = parse_qasm(SAMPLE)
     again = parse_qasm(to_qasm(c))

@@ -70,6 +70,12 @@ def test_compile_error_exit_code(capsys):
     assert main(["compile", "--gen", "nope:4", "--topology", "G2x2:4"]) == 2
 
 
+def test_negative_a0_exit_code(capsys):
+    # a negative error scale reported success 0.99996 against the default's 0.966
+    assert main(["compile", "--gen", "qft:8", "--topology", "L3:4", "--a0", "-1"]) == 2
+    assert "a0 must be >= 0" in capsys.readouterr().err
+
+
 def test_compile_full_device_exit_code(capsys):
     # even division fills both traps, so no qubit can be shuttled
     assert main(["compile", "--gen", "qft:8", "--topology", "L2:4", "--mapping", "even"]) == 2

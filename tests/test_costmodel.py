@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -121,3 +123,10 @@ def test_cost_params_validation():
     with pytest.raises(ValueError):
         # a negative SWAP duration would start later events before time 0
         CostParams(swap_gate_multiplier=-1)
+    # negative heating or error scales would report a success above the
+    # noise-free one
+    for name in ("gamma", "k1", "k2", "a0", "move_us"):
+        for bad in (-1e-3, math.nan):
+            with pytest.raises(ValueError, match=name):
+                CostParams(**{name: bad})
+        CostParams(**{name: 0.0})

@@ -210,3 +210,17 @@ def test_distance_table_equals_dense_reference(case):
     spec, weights, m, scale = case
     graph = to_graph(build(spec), weights)
     assert np.array_equal(distance_table(graph, m, scale), reference_table(graph, m, scale))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tables(), st.lists(st.integers(0, 99), min_size=1, max_size=8))
+@example((("L", 6, 3), WeightParams(), 1, 1.0), [5, 0])   # rows stepping to the fixpoint
+def test_distance_rows_of_trap_subsets_equal_the_full_table(case, picks):
+    """Rows are independent: any subset of traps, in any order, gets the
+    full table's rows of its slots bit for bit."""
+    spec, weights, m, scale = case
+    graph = to_graph(build(spec), weights)
+    traps = list(dict.fromkeys(p % len(graph.trap_slots) for p in picks))
+    rows = [s for t in traps for s in graph.trap_slots[t]]
+    assert np.array_equal(distance_table(graph, m, scale, traps),
+                          distance_table(graph, m, scale)[rows])

@@ -1,5 +1,6 @@
 import itertools
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +13,9 @@ from scipy.sparse.csgraph import dijkstra
 from qccdc import (Circuit, DecayTable, DeviceFull, EventKind, Gate, Junction,
                    MappingParams, Path, SchedulerParams, SchedulerStuck, Strategy, Topology,
                    Trap, WeightParams, distance_table, gen_benchmark, grid_topology,
-                   initial_mapping, linear_topology, parse_topology_spec, replay, schedule,
-                   star_topology, to_graph, topology_from_json)
+                   initial_mapping, linear_topology, parse_topology_spec, random_instance,
+                   replay, schedule, star_topology, to_graph, topology_from_json)
+from qccdc import scheduler
 from qccdc.bench import qft
 from qccdc.device import EDGE_KINDS
 from qccdc.scheduler import _EscapePlanner, _trap_adjacency, candidates, plan_escape
@@ -105,6 +107,56 @@ def test_distance_table_peak_memory_on_270_slots():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def fill_every_row_up_front(monkeypatch):
+    """Reference: every slot reaches every trap, so ``schedule`` fills the
+    whole table in its first call, as it did before rows were filled on
+    demand."""
+    monkeypatch.setattr(scheduler, "_reach",
+                        lambda graph, trap_adj: [tuple(graph.trap_slots)] * graph.n_nodes)
+
+
+def test_rows_on_demand_match_the_full_table_on_random_instances(monkeypatch):
+    rng = random.Random(11)
+    draws = [random_instance(rng, max_traps=5, max_capacity=6, max_gates=10)
+             for _ in range(150)]
+    params = SchedulerParams(iteration_cap_per_gate=500)
+    lazy = [schedule(c, g, m, params).events for c, g, m in draws]
+    with monkeypatch.context() as mp:
+        fill_every_row_up_front(mp)
+        assert [schedule(c, g, m, params).events for c, g, m in draws] == lazy
+
+
+@pytest.mark.parametrize("spec", ["L5:6", "G2x3:5", "S5:6"])
+@pytest.mark.parametrize("gen,size,kw", [("qft", 16, {}), ("bv", 20, {}),
+                                         ("qaoa_chain", 14, {"layers": 3})])
+def test_rows_on_demand_match_the_full_table_on_compiles(monkeypatch, spec, gen, size, kw):
+    circuit = gen_benchmark(gen, size, **kw)
+    graph = to_graph(parse_topology_spec(spec))
+    for strat in ("gather", "sta"):
+        mapping = initial_mapping(circuit, graph, MappingParams(strategy=Strategy(strat)))
+        lazy = schedule(circuit, graph, mapping).events
+        with monkeypatch.context() as mp:
+            fill_every_row_up_front(mp)
+            assert schedule(circuit, graph, mapping).events == lazy
+
+
+def test_short_circuit_on_a_large_device_fills_few_rows(monkeypatch):
+    circuit = gen_benchmark("qft", 32)
+    graph = to_graph(parse_topology_spec("L9:30"))
+    mapping = initial_mapping(circuit, graph, MappingParams(strategy=Strategy.GATHERING))
+    rows = []
+
+    def counted(*args, **kwargs):
+        table = distance_table(*args, **kwargs)
+        rows.append(len(table))
+        return table
+
+    monkeypatch.setattr(scheduler, "distance_table", counted)
+    sched = schedule(circuit, graph, mapping)
+    assert not replay(sched)
+    assert 0 < sum(rows) < graph.n_nodes == 270
 
 
 def test_decay_table_reset_window():
