@@ -17,9 +17,9 @@ from .mapping import (MappingParams, Strategy, first_level, initial_mapping,
                       interaction_scores, second_level)
 from .oracle import (BoundMode, Infeasible, OracleLimits, exact_schedule,
                      ideal_bounds, random_instance)
-from .scheduler import (DecayTable, DeviceFull, Schedule, SchedulerParams, SchedulerStuck,
-                        candidates, distance_table, schedule)
-from .state import HeatParams, MachineState, run_ready_gates
+from .scheduler import (DecayTable, DeviceFull, HeatParams, Schedule, SchedulerParams,
+                        SchedulerStuck, candidates, distance_table, schedule)
+from .state import MachineState, run_ready_gates
 from .validate import replay
 
 __version__ = "0.1.0"

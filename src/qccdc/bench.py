@@ -10,6 +10,7 @@ Counting conventions (fixed so two-qubit totals are reproducible):
 
 from __future__ import annotations
 
+import inspect
 import math
 
 from .circuit import Circuit, Gate
@@ -173,7 +174,13 @@ _GENERATORS = {
 
 
 def gen_benchmark(name: str, size: int, **params) -> Circuit:
-    """Generate a named benchmark; ``size`` is the first generator argument."""
+    """Generate a named benchmark; ``size`` is the first generator argument,
+    ``params`` name its others."""
     if name not in _GENERATORS:
         raise ValueError(f"unknown benchmark '{name}' (choose from {BENCHMARKS})")
+    accepted = list(inspect.signature(_GENERATORS[name]).parameters)[1:]
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"benchmark '{name}' has no parameter '{key}' "
+                             f"(accepted: {', '.join(accepted) or 'none'})")
     return _GENERATORS[name](size, **params)

@@ -9,8 +9,9 @@ microseconds inside the formula.
 
 ``evaluate`` assigns start times by resource-availability list scheduling:
 an event starts once every trap and junction it uses is free, preserving
-the event-list order per resource.  Shuttle heat lands on the destination
-trap when the shuttle completes.
+the event-list order per resource.  It is the one heat model: only a
+shuttle heats, adding k1 + k2 * segments quanta to its destination trap as
+it completes (none if relaxed); ``Metrics.nbar`` is each trap's at the end.
 """
 
 from __future__ import annotations
@@ -123,6 +124,7 @@ class Metrics:
     two_qubit_gates: int
     one_qubit_gates: int
     timeline: list[TimedEvent] = field(default_factory=list, repr=False)
+    nbar: dict[int, float] = field(default_factory=dict, repr=False)  # per trap, at the end
     compile_ms: float | None = None
 
     def to_dict(self) -> dict:
@@ -171,10 +173,7 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
                 dur = 0.0
             else:
                 dur = shuttle_duration(ev.segments, ev.junction_degrees, params)
-                dst = ev.traps[1]
-                nbar[dst] += sched.heat.dest_fraction * params.k1 + params.k2 * ev.segments
-                if sched.heat.dest_fraction < 1.0:
-                    nbar[ev.traps[0]] += (1.0 - sched.heat.dest_fraction) * params.k1
+                nbar[ev.traps[1]] += params.k1 + params.k2 * ev.segments
         else:  # pragma: no cover
             raise ValueError(f"unknown event kind {ev.kind}")
 
@@ -189,4 +188,4 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
         timeline.append(TimedEvent(ev, start, dur, fidelity))
 
     return Metrics(makespan_us=makespan, success_rate=success, timeline=timeline,
-                   **sched.metrics)
+                   nbar=nbar, **sched.metrics)

@@ -192,6 +192,15 @@ class DeviceGraph:
             old = self.trap_paths.get(key)
             if old is None or _path_cost(path) < _path_cost(old):
                 self.trap_paths[key] = path
+        # per trap, its (neighbour, junctions + 1) pairs over those paths,
+        # sorted: the trap-level graph of the escape planner and the oracle
+        self.trap_adj: dict[int, list[tuple[int, float]]] = {t.id: [] for t in topology.traps}
+        for (a, b), path in self.trap_paths.items():
+            w = float(len(path.junctions) + 1)  # relative cost only; scale-free
+            self.trap_adj[a].append((b, w))
+            self.trap_adj[b].append((a, w))
+        for adj in self.trap_adj.values():
+            adj.sort()
 
         self.edges: list[Edge] = []
         for trap in topology.traps:

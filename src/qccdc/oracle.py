@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, build_dag
 from .device import EDGE_KINDS, DeviceGraph, EdgeKind, WeightParams, linear_topology, to_graph
 from .scheduler import Schedule
-from .state import HeatParams, MachineState, run_ready_gates
+from .state import MachineState, run_ready_gates
 from .costmodel import CostParams, Metrics, evaluate
 
 
@@ -63,11 +63,9 @@ class BoundMode(enum.Enum):
 
 
 def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int],
-                   limits: OracleLimits | None = None,
-                   heat: HeatParams | None = None) -> Schedule | Infeasible:
+                   limits: OracleLimits | None = None) -> Schedule | Infeasible:
     """Minimum inserted-weight schedule by A* search, or Infeasible."""
     limits = limits or OracleLimits()
-    heat = heat or HeatParams()
     gates = circuit.gates
     two_q = [g.id for g in gates if g.is_two_qubit]
     if graph.n_nodes > limits.max_nodes:
@@ -117,7 +115,7 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
                 h = max(h, hops[node_trap[slots.index(a)]][node_trap[slots.index(b)]])
         return frozenset(done), h
 
-    start_slots = tuple(MachineState(graph, mapping, heat).slot_qubit)
+    start_slots = tuple(MachineState(graph, mapping).slot_qubit)
     start_exec, start_h = close(start_slots, frozenset(),
                                 [g.id for g in gates if not preds[g.id]])
     start_cost = (0.0, 0, 0)
@@ -129,7 +127,7 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
         if best_seen[(slots, executed)] < (cost, path):
             continue
         if executed == all_gates:
-            return _replay_path(circuit, graph, mapping, heat, path)
+            return _replay_path(circuit, graph, mapping, path)
         if len(path) >= limits.max_depth:
             continue
         weight, shuttles, swaps = cost
@@ -166,16 +164,12 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
 def _trap_hops(graph: DeviceGraph) -> list[list[int]]:
     """Trap-to-trap hop counts over the shuttle paths, by BFS from each trap."""
     n = len(graph.topology.traps)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in graph.trap_paths:
-        adj[a].append(b)
-        adj[b].append(a)
     hops = []
     for src in range(n):
         dist = {src: 0}
         queue = [src]
         for t in queue:  # the queue grows while it is walked
-            for nb in adj[t]:
+            for nb, _ in graph.trap_adj[t]:
                 if nb not in dist:
                     dist[nb] = dist[t] + 1
                     queue.append(nb)
@@ -183,16 +177,16 @@ def _trap_hops(graph: DeviceGraph) -> list[list[int]]:
     return hops
 
 
-def _replay_path(circuit, graph, mapping, heat, path) -> Schedule:
+def _replay_path(circuit, graph, mapping, path) -> Schedule:
     """Turn an edge sequence into a full event list (gates run greedily)."""
-    state = MachineState(graph, mapping, heat)
+    state = MachineState(graph, mapping)
     dag = build_dag(circuit)
     events = []
     run_ready_gates(state, dag, events)
     for u, v in path:
         events.append(state.apply_generic_swap(graph.edge(u, v)))
         run_ready_gates(state, dag, events)
-    return Schedule(events, circuit, graph, dict(mapping), heat)
+    return Schedule(events, circuit, graph, dict(mapping))
 
 
 def ideal_bounds(sched: Schedule, mode: BoundMode,

@@ -69,7 +69,7 @@ import numpy as np
 from .circuit import Circuit, build_dag
 from .device import SHUTTLE_EDGE, VALID_SWAP, DeviceGraph, Edge
 from .events import EventKind, EventRecord
-from .state import HeatParams, MachineState, run_ready_gates
+from .state import MachineState, run_ready_gates
 
 
 # A scan scores len(candidates) x len(frontier) pairs.  From this many pairs
@@ -132,7 +132,6 @@ class Schedule:
     circuit: Circuit
     graph: DeviceGraph
     initial_mapping: dict[int, int]
-    heat: HeatParams
 
     @property
     def metrics(self) -> dict[str, int]:
@@ -287,17 +286,6 @@ def heuristic_scores(cand: np.ndarray, state: MachineState, graph: DeviceGraph,
 # Deterministic enabling-move planner (escape from heuristic plateaus)
 # ---------------------------------------------------------------------------
 
-def _trap_adjacency(graph: DeviceGraph) -> dict[int, list[tuple[int, float]]]:
-    adj: dict[int, list[tuple[int, float]]] = {t.id: [] for t in graph.topology.traps}
-    for (a, b), p in graph.trap_paths.items():
-        w = float(len(p.junctions) + 1)  # relative cost only; scale-free
-        adj[a].append((b, w))
-        adj[b].append((a, w))
-    for lst in adj.values():
-        lst.sort()
-    return adj
-
-
 def _trap_route(adj, src: int, dst: int) -> tuple[float, list[int]]:
     """Cheapest trap-level route, ties broken by lexicographic trap sequence.
 
@@ -326,9 +314,8 @@ class _EscapePlanner:
     it found it.
     """
 
-    def __init__(self, state: MachineState, graph: DeviceGraph, trap_adj):
+    def __init__(self, state: MachineState, graph: DeviceGraph):
         self.graph = graph
-        self.adj = trap_adj
         self.state = state
         self.plan: list[tuple[int, int]] = []
 
@@ -367,7 +354,7 @@ class _EscapePlanner:
             if self.state.space_count[t] > 0:
                 goal = t
                 break
-            for nb, _ in self.adj[t]:
+            for nb, _ in self.graph.trap_adj[t]:
                 if nb not in prev:
                     prev[nb] = t
                     queue.append(nb)
@@ -400,7 +387,7 @@ class _EscapePlanner:
 
     def route(self, mover: int, stay: int) -> list[tuple[int, int]]:
         g, mapping = self.graph, self.state.mapping
-        route = _trap_route(self.adj, g.node_trap[mapping[mover]], g.node_trap[mapping[stay]])[1]
+        route = _trap_route(g.trap_adj, g.node_trap[mapping[mover]], g.node_trap[mapping[stay]])[1]
         protected = {mover, stay}
         try:
             for t_next in route[1:]:
@@ -420,8 +407,8 @@ class _EscapePlanner:
         return self.plan
 
 
-def plan_escape(state: MachineState, graph: DeviceGraph, trap_adj,
-                q1: int, q2: int, remaining_uses) -> list[tuple[int, int]]:
+def plan_escape(state: MachineState, graph: DeviceGraph, q1: int, q2: int,
+                remaining_uses) -> list[tuple[int, int]]:
     """Plan both routing directions for a blocked gate and keep the cheaper.
 
     Ties go to the qubit with fewer remaining two-qubit gates, so the busier
@@ -429,7 +416,7 @@ def plan_escape(state: MachineState, graph: DeviceGraph, trap_adj,
     norm = graph.params.shuttle_base
     options = []
     for rank, (mover, stay) in enumerate(((q2, q1), (q1, q2))):
-        plan = _EscapePlanner(state, graph, trap_adj).route(mover, stay)
+        plan = _EscapePlanner(state, graph).route(mover, stay)
         weight = sum(graph.edge(u, v).weight / norm for u, v in plan)
         options.append((weight, remaining_uses[mover], rank, plan))
     options.sort(key=lambda t: t[:3])
@@ -440,32 +427,40 @@ def plan_escape(state: MachineState, graph: DeviceGraph, trap_adj,
 # Main loop
 # ---------------------------------------------------------------------------
 
-def _reach(graph: DeviceGraph, trap_adj) -> list[tuple[int, ...]]:
+def _reach(graph: DeviceGraph) -> list[tuple[int, ...]]:
     """Per slot, the traps whose distance rows a qubit there can be scored
     from: its own trap and, from an end slot, each trap one shuttle away."""
     reach: list[tuple[int, ...]] = [()] * graph.n_nodes
     for t, slots in graph.trap_slots.items():
         for s in slots:
             reach[s] = (t,)
-        reach[slots[0]] = reach[slots[-1]] = (t,) + tuple(nb for nb, _ in trap_adj[t])
+        reach[slots[0]] = reach[slots[-1]] = (t,) + tuple(nb for nb, _ in graph.trap_adj[t])
     return reach
+
+
+@dataclass(frozen=True)
+class HeatParams:
+    """Accepted by ``schedule`` and ignored, as ``benchmarks/run.py`` still
+    passes one: ``costmodel.evaluate`` grades heat from ``CostParams``."""
+
+    k1: float = 0.1
+    k2: float = 0.01
 
 
 def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, int],
              params: SchedulerParams | None = None,
              heat: HeatParams | None = None) -> Schedule:
-    """Run the full generic-swap scheduling loop over the circuit DAG."""
+    """Run the full generic-swap scheduling loop over the circuit DAG;
+    ``heat`` is ignored, as ``benchmarks/run.py`` still passes it."""
     params = params or SchedulerParams()
-    heat = heat or HeatParams()
     for q in range(circuit.n_qubits):
         if q not in initial_mapping:
             raise ValueError(f"qubit {q} is not placed by the initial mapping")
 
-    state = MachineState(graph, initial_mapping, heat)
+    state = MachineState(graph, initial_mapping)
     dag = build_dag(circuit)
     norm = graph.params.shuttle_base
-    trap_adj = _trap_adjacency(graph)
-    reach = _reach(graph, trap_adj)
+    reach = _reach(graph)
     # unfilled distance rows stay NaN in ``dist_array`` and None in ``dist``
     dist_array = np.full((graph.n_nodes, graph.n_nodes), np.nan)
     dist: list[list[float] | None] = [None] * graph.n_nodes
@@ -561,7 +556,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         # blocked gate explicitly, stopping once it has run
         gid = min(dag.frontier)
         q1, q2 = dag.gates[gid].qubits
-        plan = plan_escape(state, graph, trap_adj, q1, q2, remaining_uses)
+        plan = plan_escape(state, graph, q1, q2, remaining_uses)
         if not plan:
             raise SchedulerStuck(dag.frontier, iteration)
         for u, v in plan:
@@ -569,4 +564,4 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
             if gid not in dag.frontier:
                 break
 
-    return Schedule(events, circuit, graph, dict(initial_mapping), heat)
+    return Schedule(events, circuit, graph, dict(initial_mapping))

@@ -1,5 +1,5 @@
-"""The machine-state kernel: qubit placement, free spaces, accumulated heat,
-and the rules that read them.
+"""The machine-state kernel: qubit placement, free spaces, and the rules
+that read them.
 
 A generic swap on an edge is a SWAP gate, a space shift or a shuttle
 depending only on the edge and on which endpoints hold ions.  The graph fixes
@@ -16,13 +16,11 @@ One compile job owns one MachineState.  Every structural change goes through
 ``_exchange``, called by ``apply_generic_swap`` for real moves and by the
 scheduler's escape planner, which tries its moves on the live state and
 takes them back, so the mapping, occupancy and space recorder stay
-consistent with each other; ``apply_generic_swap`` also adds the per-trap
-motional quanta and returns the event.
+consistent with each other; ``apply_generic_swap`` also returns the event,
+which ``costmodel.evaluate`` times and grades: the state keeps placement only.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +29,9 @@ from .device import EDGE_KINDS, DeviceGraph, Edge, EdgeKind
 from .events import EventKind, EventRecord
 
 
-@dataclass(frozen=True)
-class HeatParams:
-    """Motional-quanta increments per shuttle: k1 for split+merge, k2 per segment.
-
-    ``dest_fraction`` controls how much of the k1 quanta lands on the
-    destination trap (the remainder goes to the source chain).
-    """
-
-    k1: float = 0.1
-    k2: float = 0.01
-    dest_fraction: float = 1.0
-
-
 class MachineState:
-    def __init__(self, graph: DeviceGraph, mapping: dict[int, int],
-                 heat: HeatParams | None = None):
+    def __init__(self, graph: DeviceGraph, mapping: dict[int, int]):
         self.graph = graph
-        self.heat = heat or HeatParams()
         slot_qubit: list[int | None] = [None] * graph.n_nodes
         for q, node in mapping.items():
             if slot_qubit[node] is not None:
@@ -65,7 +48,6 @@ class MachineState:
             poss = {pos for pos, n in enumerate(slots) if slot_qubit[n] is None}
             self.spaces[trap_id] = poss
             self.space_count[trap_id] = len(poss)
-        self.nbar: dict[int, float] = {t.id: 0.0 for t in graph.topology.traps}
         self.traps_without_space = sum(1 for c in self.space_count.values() if c == 0)
 
     # -- queries ------------------------------------------------------------
@@ -131,11 +113,7 @@ class MachineState:
             self.traps_without_space += 1
 
     def apply_generic_swap(self, edge: Edge) -> EventRecord:
-        """Exchange the contents of the edge's endpoints; returns the event.
-
-        Shuttles heat the chains: the destination trap gains
-        dest_fraction * k1 + k2 * segments quanta, the source the k1 rest.
-        """
+        """Exchange the contents of the edge's endpoints; returns the event."""
         kind = self.classify(edge.u, edge.v)
         if kind is EdgeKind.QUBIT_SWAP:
             qa, qb = self.slot_qubit[edge.u], self.slot_qubit[edge.v]
@@ -160,10 +138,6 @@ class MachineState:
             q = self.slot_qubit[src_node]
             src, dst = self.graph.node_trap[src_node], self.graph.node_trap[dst_node]
             self._exchange(edge.u, edge.v)
-            h = self.heat
-            self.nbar[dst] += h.dest_fraction * h.k1 + h.k2 * edge.segments
-            if h.dest_fraction < 1.0:
-                self.nbar[src] += (1.0 - h.dest_fraction) * h.k1
             degs = tuple(self.graph.topology.junction(j).degree for j in edge.junctions)
             return EventRecord(EventKind.SHUTTLE, qubits=(q,), slots=(src_node, dst_node),
                                traps=(src, dst), segments=edge.segments,

@@ -171,7 +171,7 @@ def test_criterion_8_determinism_and_scaling(tmp_path):
     for i in range(2):
         out = tmp_path / f"run{i}.json"
         rc = main(["compile", "--gen", "qft:24", "--topology", "G2x2:22",
-                   "--seed", "7", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 0
         d = json.loads(out.read_text())
         assert d.pop("compile_ms") < 10_000
@@ -204,16 +204,17 @@ def test_criterion_9_monotonicity():
         vals = [q.gate_fidelity(tau, 8, n, params) for n in nbars]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
-    # nbar non-decreasing along a real schedule replay
+    # the cost model's nbar non-decreasing along a real schedule, checked
+    # over every prefix of its events
     circuit = q.gen_benchmark("qft", 12)
     graph = q.to_graph(q.grid_topology(2, 2, 4), q.WeightParams())
     mapping = q.initial_mapping(circuit, graph, q.MappingParams())
     sched = q.schedule(circuit, graph, mapping)
-    state = q.MachineState(graph, sched.initial_mapping, sched.heat)
-    prev = dict(state.nbar)
-    for ev in sched.events:
-        if ev.kind is not q.EventKind.GATE:
-            state.apply_generic_swap(graph.edge(*ev.slots))
-        assert all(state.nbar[t] >= prev[t] for t in state.nbar)
-        prev = dict(state.nbar)
+    assert any(ev.kind is q.EventKind.SHUTTLE for ev in sched.events)
+    prev = q.evaluate(q.Schedule([], circuit, graph, sched.initial_mapping), params).nbar
+    for i in range(1, len(sched.events) + 1):
+        prefix = q.Schedule(sched.events[:i], circuit, graph, sched.initial_mapping)
+        now = q.evaluate(prefix, params).nbar
+        assert all(now[t] >= prev[t] for t in now)
+        prev = now
     report("criterion 9 (fidelity monotone on 100-point grid; nbar non-decreasing)")

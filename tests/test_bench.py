@@ -55,3 +55,15 @@ def test_generator_dispatch():
         gen_benchmark("nope", 4)
     with pytest.raises(ValueError):
         qft(1)
+
+
+def test_unknown_generator_parameter_is_a_value_error():
+    """Named in the error with the generator's accepted parameters, not a
+    ``TypeError`` from the call; the size's own name is no parameter."""
+    with pytest.raises(ValueError, match=r"'foo' \(accepted: none\)"):
+        gen_benchmark("qft", 8, foo=1)
+    with pytest.raises(ValueError, match=r"'n' \(accepted: layers\)"):
+        gen_benchmark("qaoa_chain", 8, n=3)
+    with pytest.raises(ValueError, match=r"accepted: secret"):
+        gen_benchmark("bv", 4, seed=1)
+    assert gen_benchmark("heisenberg", 4, trotter_steps=2).two_qubit_count == 18

@@ -22,7 +22,7 @@ def test_compile_deterministic_metrics(tmp_path):
     for i in range(2):
         out = tmp_path / f"m{i}.json"
         main(["compile", "--gen", "qft:8", "--topology", "G2x2:4",
-              "--seed", "7", "--out", str(out)])
+              "--out", str(out)])
         d = json.loads(out.read_text())
         d.pop("compile_ms")  # wall-clock differs between runs
         outs.append(d)
@@ -54,6 +54,17 @@ def test_compile_events_csv_and_snapshot(tmp_path):
     assert len(s["mapping"]) == 8
 
 
+@pytest.mark.parametrize("baseline", ["none", "ideal"])
+def test_snapshot_heat_is_the_cost_models(tmp_path, baseline):
+    """The snapshot's heat is ``evaluate``'s unrelaxed grade under every
+    baseline: a relaxed shuttle adds no heat, but it still moved the ion."""
+    snap = tmp_path / "snap.json"
+    rc = main(["compile", "--gen", "qft:8", "--topology", "L3:4", "--baseline", baseline,
+               "--snapshot", str(snap), "--out", str(tmp_path / "m.json")])
+    assert rc == 0
+    assert json.loads(snap.read_text())["nbar"] == {"0": 0.55, "1": 0.88, "2": 0.33}
+
+
 def test_compile_baseline_flag(tmp_path):
     vals = {}
     for mode in ("none", "perfect-shuttle", "perfect-swap", "ideal"):
@@ -68,6 +79,20 @@ def test_compile_baseline_flag(tmp_path):
 def test_compile_error_exit_code(capsys):
     assert main(["compile", "--topology", "G2x2:4"]) == 2  # no circuit
     assert main(["compile", "--gen", "nope:4", "--topology", "G2x2:4"]) == 2
+
+
+def test_unknown_generator_parameter_exit_code(capsys):
+    assert main(["compile", "--gen", "qft:8:foo=1", "--topology", "L3:4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'foo'" in err and "Traceback" not in err
+
+
+def test_compile_and_sweep_take_no_seed(capsys):
+    """The compile pipeline is deterministic and draws nothing at random."""
+    for cmd in (["compile"], ["sweep", "--axis", "delta", "--values", "0.001"]):
+        with pytest.raises(SystemExit) as err:
+            main(cmd + ["--gen", "qft:4", "--topology", "L2:3", "--seed", "7"])
+        assert err.value.code == 2
 
 
 def test_negative_a0_exit_code(capsys):

@@ -18,7 +18,7 @@ from qccdc import (Circuit, DecayTable, DeviceFull, EventKind, Gate, Junction,
 from qccdc import scheduler
 from qccdc.bench import qft
 from qccdc.device import EDGE_KINDS
-from qccdc.scheduler import _EscapePlanner, _trap_adjacency, candidates, plan_escape
+from qccdc.scheduler import _EscapePlanner, candidates, plan_escape
 from qccdc.state import MachineState
 
 
@@ -114,7 +114,7 @@ def fill_every_row_up_front(monkeypatch):
     whole table in its first call, as it did before rows were filled on
     demand."""
     monkeypatch.setattr(scheduler, "_reach",
-                        lambda graph, trap_adj: [tuple(graph.trap_slots)] * graph.n_nodes)
+                        lambda graph: [tuple(graph.trap_slots)] * graph.n_nodes)
 
 
 def test_rows_on_demand_match_the_full_table_on_random_instances(monkeypatch):
@@ -292,7 +292,7 @@ def test_parallel_path_tie_keeps_the_first_listed():
                     (Junction(0, 2), Junction(1, 2)))
     g = to_graph(topo, WeightParams())
     assert {e.junctions for e in g.edges if e.is_shuttle} == {(0,)}
-    assert _trap_adjacency(g) == {0: [(1, 2.0)], 1: [(0, 2.0)]}
+    assert g.trap_adj == {0: [(1, 2.0)], 1: [(0, 2.0)]}
 
 
 def test_full_device_raises_device_full():
@@ -335,7 +335,7 @@ def test_swap_cap_raises_a_value_error():
 def snapshot(state):
     return (list(state.slot_qubit), dict(state.mapping), state.occupied.tolist(),
             {t: set(p) for t, p in state.spaces.items()}, dict(state.space_count),
-            state.traps_without_space, dict(state.nbar))
+            state.traps_without_space)
 
 
 def test_plan_escape_leaves_the_state_as_it_found_it():
@@ -344,12 +344,11 @@ def test_plan_escape_leaves_the_state_as_it_found_it():
     eviction through trap 2 into trap 3 first."""
     g = to_graph(linear_topology(4, 3), WeightParams())
     state = MachineState(g, {q: q for q in range(9)})
-    adj = _trap_adjacency(g)
     before = snapshot(state)
     for mover, stay in ((0, 3), (3, 0)):
-        _EscapePlanner(state, g, adj).route(mover, stay)
+        _EscapePlanner(state, g).route(mover, stay)
         assert snapshot(state) == before
-    plan = plan_escape(state, g, adj, 0, 3, [0] * 9)
+    plan = plan_escape(state, g, 0, 3, [0] * 9)
     assert snapshot(state) == before
     assert [(g.node_trap[u], g.node_trap[v]) for u, v in plan] == [(2, 3), (1, 2), (0, 1)]
     for u, v in plan:
@@ -371,6 +370,6 @@ def test_plan_escape_failing_mid_plan_leaves_the_state_unchanged(monkeypatch):
 
     monkeypatch.setattr(_EscapePlanner, "_make_space_in", cascade_then_fail)
     with pytest.raises(DeviceFull):
-        plan_escape(state, g, _trap_adjacency(g), 0, 3, [0] * 9)
+        plan_escape(state, g, 0, 3, [0] * 9)
     assert snapshot(state) == before
     state.check_consistency()

@@ -1,13 +1,20 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qccdc import (EdgeKind, HeatParams, MachineState, WeightParams,
-                   linear_topology, to_graph)
+from qccdc import (Circuit, CostParams, EdgeKind, EventKind, MachineState, Schedule,
+                   WeightParams, evaluate, linear_topology, to_graph)
 
 
-def make_state(mapping, n_traps=2, capacity=3, heat=None):
+def make_state(mapping, n_traps=2, capacity=3):
     g = to_graph(linear_topology(n_traps, capacity), WeightParams())
-    return MachineState(g, mapping, heat)
+    return MachineState(g, mapping)
+
+
+def heat_after(state, mapping, events, params):
+    """The cost model's per-trap heat after ``events``, moves the state made
+    from ``mapping``."""
+    sched = Schedule(list(events), Circuit(len(mapping), ()), state.graph, mapping)
+    return evaluate(sched, params).nbar
 
 
 def test_swap_exchanges_mapping_without_heat():
@@ -15,32 +22,25 @@ def test_swap_exchanges_mapping_without_heat():
     ev = s.apply_generic_swap(s.graph.edge(0, 1))
     assert s.mapping == {0: 1, 1: 0}
     assert ev.qubits == (0, 1)
-    assert all(v == 0.0 for v in s.nbar.values())
+    assert heat_after(s, {0: 0, 1: 1}, [ev], CostParams()) == {0: 0.0, 1: 0.0}
     s.check_consistency()
 
 
 def test_shuttle_heat_arithmetic():
-    """Shuttle over 2 segments adds k1 + 2*k2 = 0.12 quanta to the destination."""
+    """Shuttle over 2 segments adds k1 + 2*k2 quanta to the destination and
+    none to the source, in the cost model's heat."""
     g = to_graph(
         __import__("qccdc").topology_from_json({
             "traps": [{"id": 0, "capacity": 2}, {"id": 1, "capacity": 2}],
             "junctions": [{"id": 0, "degree": 2}],
             "paths": [{"trap_a": 0, "trap_b": 1, "segments": 2, "junctions": [0]}],
         }), WeightParams())
-    s = MachineState(g, {0: 0, 1: 1}, HeatParams())
+    s = MachineState(g, {0: 0, 1: 1})
     ev = s.apply_generic_swap(g.edge(1, 2))  # q1 shuttles into trap 1
-    assert ev.kind.value == "shuttle"
-    assert s.nbar[1] == pytest.approx(0.1 + 0.01 * 2)
-    assert s.nbar[0] == pytest.approx(0.0)
+    assert ev.kind.value == "shuttle" and ev.segments == 2
+    for p in (CostParams(), CostParams(k1=0.3, k2=0.05)):
+        assert heat_after(s, {0: 0, 1: 1}, [ev], p) == {0: 0.0, 1: p.k1 + 2 * p.k2}
     s.check_consistency()
-
-
-def test_heat_split_fraction():
-    g = to_graph(linear_topology(2, 2), WeightParams())
-    s = MachineState(g, {0: 0}, HeatParams(dest_fraction=0.5))
-    s.apply_generic_swap(g.edge(0, 2))
-    assert s.nbar[1] == pytest.approx(0.5 * 0.1 + 0.01)
-    assert s.nbar[0] == pytest.approx(0.5 * 0.1)
 
 
 def test_ion_distance_skips_spaces():
@@ -87,16 +87,25 @@ def test_generic_swap_involution(moves):
 
 
 def test_nbar_monotone_under_random_swaps():
+    """Over growing prefixes of a random walk of generic swaps, the cost
+    model's heat only rises, and only on a shuttle's destination trap."""
     import random
     rng = random.Random(0)
-    s = make_state({0: 0, 1: 1, 2: 3}, n_traps=3, capacity=3)
-    prev = dict(s.nbar)
+    start = {0: 0, 1: 1, 2: 3}
+    s = make_state(start, n_traps=3, capacity=3)
+    p = CostParams()
+    events = []
+    prev = heat_after(s, start, events, p)
     for _ in range(200):
         usable = [e for e in s.graph.edges
                   if s.classify(e.u, e.v) in (EdgeKind.QUBIT_SWAP,
                                               EdgeKind.SPACE_SHIFT, EdgeKind.SHUTTLE)]
-        e = rng.choice(usable)
-        s.apply_generic_swap(e)
-        assert all(s.nbar[t] >= prev[t] for t in s.nbar)
-        prev = dict(s.nbar)
+        ev = s.apply_generic_swap(rng.choice(usable))
+        events.append(ev)
+        now = heat_after(s, start, events, p)
+        assert all(now[t] >= prev[t] for t in now)
+        if ev.kind is EventKind.SHUTTLE:
+            prev[ev.traps[1]] += p.k1 + p.k2 * ev.segments
+        assert now == prev
+    assert sum(ev.kind is EventKind.SHUTTLE for ev in events) > 0
     s.check_consistency()

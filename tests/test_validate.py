@@ -2,9 +2,8 @@ import dataclasses
 
 import pytest
 
-from qccdc import (EventKind, EventRecord, HeatParams, MappingParams, WeightParams,
-                   grid_topology, initial_mapping, parse_topology_spec, replay, schedule,
-                   to_graph)
+from qccdc import (EventKind, EventRecord, MappingParams, WeightParams, grid_topology,
+                   initial_mapping, parse_topology_spec, replay, schedule, to_graph)
 from qccdc.bench import qft
 from qccdc.scheduler import Schedule
 
@@ -24,7 +23,7 @@ def test_dropped_gate_detected():
     s = make_schedule()
     events = [e for e in s.events
               if not (e.kind is EventKind.GATE and e.gate_id == 0)]
-    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping, s.heat)
+    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping)
     msgs = replay(bad)
     assert any("never executed" in m or "program order" in m for m in msgs)
 
@@ -35,7 +34,7 @@ def test_reordered_gates_detected():
     events = list(s.events)
     a, b = gate_idx[0], gate_idx[-1]
     events[a], events[b] = events[b], events[a]
-    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping, s.heat)
+    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping)
     assert replay(bad)
 
 
@@ -46,7 +45,7 @@ def test_missing_movement_detected():
     shuttle_idx = next(i for i, e in enumerate(s.events)
                        if e.kind is EventKind.SHUTTLE)
     events = s.events[:shuttle_idx] + s.events[shuttle_idx + 1:]
-    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping, s.heat)
+    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping)
     assert replay(bad)
 
 
@@ -55,7 +54,7 @@ def test_wrong_event_kind_detected():
     events = list(s.events)
     i = next(i for i, e in enumerate(events) if e.kind is EventKind.SHUTTLE)
     events[i] = dataclasses.replace(events[i], kind=EventKind.SWAP)
-    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping, s.heat)
+    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping)
     msgs = replay(bad)
     assert any("classifies as" in m for m in msgs)
 
@@ -68,7 +67,7 @@ def test_move_between_unjoined_slots_is_a_violation():
     s = schedule(c, g, initial_mapping(c, g, MappingParams()))
     assert replay(s) == []
     stray = EventRecord(EventKind.SHUTTLE, qubits=(0,), slots=(1, 4))
-    bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping, s.heat)
+    bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping)
     assert replay(bad) == ["event 0 (shuttle): no edge joins slots 1 and 4"]
 
 
@@ -78,7 +77,7 @@ def test_gate_event_naming_no_gate_is_a_violation():
     s = schedule(c, g, initial_mapping(c, g, MappingParams()))
     for gid in (99, None):
         stray = EventRecord(EventKind.GATE, qubits=(0,), gate_id=gid)
-        bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping, s.heat)
+        bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping)
         assert replay(bad) == [f"event 0 (gate): no gate {gid!r} in the circuit"]
 
 
@@ -89,20 +88,8 @@ def test_move_with_malformed_slots_is_a_violation():
     for slots, msg in (((1,), "a move needs two slots, not (1,)"),
                        ((None, 3), "no edge joins slots None and 3")):
         stray = EventRecord(EventKind.SHIFT, qubits=(0,), slots=slots)
-        bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping, s.heat)
+        bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping)
         assert replay(bad) == [f"event 0 (shift): {msg}"]
-
-
-def test_cooling_shuttles_are_reported():
-    """Only shuttles heat; a negative split/merge increment must still show
-    up as a decrease on the shuttle's destination trap."""
-    c = qft(6)
-    g = to_graph(grid_topology(2, 2, 3), WeightParams())
-    s = schedule(c, g, initial_mapping(c, g, MappingParams()), heat=HeatParams(k1=-1.0))
-    msgs = replay(s)
-    assert msgs and all("nbar decreased" in m for m in msgs)
-    shuttles = sum(e.kind is EventKind.SHUTTLE for e in s.events)
-    assert len(msgs) == shuttles
 
 
 @pytest.mark.parametrize("kind,field,value", [
@@ -120,5 +107,5 @@ def test_tampered_move_field_is_a_violation(kind, field, value):
     i = next(i for i, e in enumerate(events) if e.kind is kind)
     was = getattr(events[i], field)
     events[i] = dataclasses.replace(events[i], **{field: value})
-    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping, s.heat)
+    bad = Schedule(events, s.circuit, s.graph, s.initial_mapping)
     assert replay(bad) == [f"event {i} ({kind.value}): {field} is {value!r}, not {was!r}"]
