@@ -9,7 +9,7 @@ from .bench import BENCHMARKS, gen_benchmark
 from .circuit import Circuit, DepGraph, Gate, QasmError, build_dag, parse_qasm, to_qasm
 from .costmodel import (CostParams, GateFamily, Metrics, evaluate, gate_duration,
                         gate_fidelity, shuttle_duration)
-from .device import (DeviceGraph, Edge, EdgeKind, Junction, Path, Topology, Trap,
+from .device import (DeviceGraph, Edge, Junction, Path, Topology, Trap,
                      WeightParams, build_topology, grid_topology, linear_topology,
                      parse_topology_spec, star_topology, to_graph, topology_from_json)
 from .events import EventKind, EventRecord
@@ -17,7 +17,7 @@ from .mapping import (MappingParams, Strategy, first_level, initial_mapping,
                       interaction_scores, second_level)
 from .oracle import (BoundMode, Infeasible, OracleLimits, exact_schedule,
                      ideal_bounds, random_instance)
-from .scheduler import (DecayTable, DeviceFull, HeatParams, Schedule, SchedulerParams,
+from .scheduler import (DeviceFull, HeatParams, Schedule, SchedulerParams,
                         SchedulerStuck, candidates, distance_table, schedule)
 from .state import MachineState, run_ready_gates
 from .validate import replay

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import bench
 from .circuit import parse_qasm
 from .costmodel import CostParams, GateFamily, evaluate
-from .device import WeightParams, parse_topology_spec, to_graph, topology_from_json
+from .device import WeightParams, parse_topology_spec, spec_int, to_graph, topology_from_json
 from .events import EventKind
 from .mapping import MappingParams, Strategy, initial_mapping
 from .oracle import (BoundMode, Infeasible, OracleLimits, exact_schedule,
@@ -31,16 +31,19 @@ from .state import MachineState
 def _parse_gen_spec(spec: str):
     """Generator mini-syntax: name:size[:param=value,...]"""
     parts = spec.split(":")
+    where = f"generator spec '{spec}'"
     if len(parts) < 2:
-        raise ValueError(f"generator spec '{spec}' needs name:size")
-    name, size = parts[0], int(parts[1])
+        raise ValueError(f"{where} needs name:size")
+    name, size = parts[0], spec_int(where, "size", parts[1])
     kwargs = {}
     for chunk in parts[2:]:
         for kv in chunk.split(","):
             if not kv:
                 continue
-            k, _, v = kv.partition("=")
-            kwargs[k] = int(v)
+            k, eq, v = kv.partition("=")
+            if not eq:
+                raise ValueError(f"{where}: '{kv}' is not param=value")
+            kwargs[k] = spec_int(where, f"parameter {k}", v)
     return bench.gen_benchmark(name, size, **kwargs)
 
 

@@ -8,15 +8,18 @@ and the end slots of path-connected traps get shuttle edges
 all shuttle weights above it, so a single weight comparison separates
 "inside one trap" from "between traps".  Of several paths joining the same
 two traps only the cheapest becomes edges, so each slot pair has one edge.
+An edge's class and its occupied endpoints decide its generic swap: the
+``EventKind`` in ``EDGE_KINDS``, or None where it allows none.
 """
 
 from __future__ import annotations
 
-import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .events import EventKind
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,11 @@ class WeightParams:
     shuttle_base: float = 1.0
     threshold: float = 0.5
 
+    def __post_init__(self):
+        for name in ("inner_weight", "shuttle_base", "threshold"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
     def validate(self, max_capacity: int):
         if not 0 < self.inner_weight * (max_capacity - 1) <= self.threshold:
             raise ValueError("intra weights must stay at or below the threshold")
@@ -122,29 +130,21 @@ class WeightParams:
             raise ValueError("threshold must lie below the smallest shuttle weight")
 
 
-class EdgeKind(enum.Enum):
-    """The generic swap an edge allows under the current occupancy."""
-
-    QUBIT_SWAP = "swap"
-    SPACE_SHIFT = "shift"
-    SHUTTLE = "shuttle"
-    INVALID = "invalid"
-
-
 # Edge classes, fixed per edge by its weight: an intra edge (at or below the
 # threshold) between slots further apart than one, an intra edge of weight
 # inner_weight between adjacent slots, and a shuttle edge (above the threshold).
 INTRA_EDGE, ADJACENT_EDGE, SHUTTLE_EDGE = 0, 1, 2
 
-# EDGE_KINDS[edge class][occupied endpoints]: the generic swap the edge allows.
-# Two qubits may swap on any intra edge; a qubit and a space may exchange on
-# an adjacent intra edge (a space shift) or on a shuttle edge (a shuttle).
+# EDGE_KINDS[edge class][occupied endpoints]: the event kind of the generic
+# swap the edge allows, or None where it allows none.  Two qubits may swap on
+# any intra edge; a qubit and a space may exchange on an adjacent intra edge
+# (a space shift) or on a shuttle edge (a shuttle).
 EDGE_KINDS = (
-    (EdgeKind.INVALID, EdgeKind.INVALID, EdgeKind.QUBIT_SWAP),
-    (EdgeKind.INVALID, EdgeKind.SPACE_SHIFT, EdgeKind.QUBIT_SWAP),
-    (EdgeKind.INVALID, EdgeKind.SHUTTLE, EdgeKind.INVALID),
+    (None, None, EventKind.SWAP),
+    (None, EventKind.SHIFT, EventKind.SWAP),
+    (None, EventKind.SHUTTLE, None),
 )
-VALID_SWAP = np.array([[k is not EdgeKind.INVALID for k in row] for row in EDGE_KINDS])
+VALID_SWAP = np.array([[k is not None for k in row] for row in EDGE_KINDS])
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,6 @@ class DeviceGraph:
     def edge(self, u: int, v: int) -> Edge:
         return self.edges[self.edge_id(u, v)]
 
-    def is_end_slot(self, node: int) -> bool:
-        cap = self.topology.trap(self.node_trap[node]).capacity
-        return self.node_pos[node] in (0, cap - 1)
-
 
 def to_graph(topology: Topology, params: WeightParams | None = None) -> DeviceGraph:
     return DeviceGraph(topology, params or WeightParams())
@@ -316,21 +312,27 @@ def build_topology(family: str, capacity: int, *, n: int | None = None,
     raise ValueError(f"unknown topology family '{family}'")
 
 
+def spec_int(spec: str, part: str, text: str) -> int:
+    """``int(text)``; a ValueError that names the spec and its malformed part."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{spec}: {part} '{text}' is not an integer") from None
+
+
 def parse_topology_spec(spec: str, default_capacity: int | None = None) -> Topology:
     """Parse a compact spec string: 'L4:22', 'G2x3:17', 'S4' (capacity after ':')."""
-    if ":" in spec:
-        head, cap_s = spec.split(":", 1)
-        capacity = int(cap_s)
-    else:
-        head, capacity = spec, default_capacity
+    head, colon, cap_s = spec.partition(":")
+    where = f"topology spec '{spec}'"
+    capacity = spec_int(where, "capacity", cap_s) if colon else default_capacity
     if capacity is None:
-        raise ValueError(f"topology spec '{spec}' needs a capacity")
-    fam = head[0].upper()
-    rest = head[1:].lstrip("-")
+        raise ValueError(f"{where} needs a capacity")
+    fam, rest = head[:1].upper(), head[1:].lstrip("-")
     if fam == "G":
         rows_s, _, cols_s = rest.partition("x")
-        return grid_topology(int(rows_s), int(cols_s), capacity)
-    return build_topology(fam, capacity, n=int(rest))
+        return grid_topology(spec_int(where, "rows", rows_s), spec_int(where, "columns", cols_s),
+                             capacity)
+    return build_topology(fam, capacity, n=spec_int(where, "trap count", rest))
 
 
 def topology_from_json(data: dict | str) -> Topology:

@@ -9,6 +9,7 @@ trap so that placement scores rise from the chain ends toward the center
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, build_dag
@@ -31,6 +32,9 @@ class MappingParams:
     def __post_init__(self):
         if self.lookahead_k < 1:
             raise ValueError("lookahead_k must be >= 1")
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 def dag_layers(circuit: Circuit) -> list[int]:
@@ -106,15 +110,10 @@ def _pack_with_reserve(order: list[int], topology: Topology) -> dict[int, int]:
     return assignment
 
 
-def first_level(circuit: Circuit, topology: Topology,
-                params: MappingParams) -> dict[int, int]:
-    """Assign each logical qubit to a trap according to the chosen strategy."""
-    return _first_level(circuit, topology, params, dag_layers(circuit))
-
-
-def _first_level(circuit: Circuit, topology: Topology, params: MappingParams,
-                 layers: list[int]) -> dict[int, int]:
-    """``first_level`` with ``layers = dag_layers(circuit)`` given."""
+def first_level(circuit: Circuit, topology: Topology, params: MappingParams,
+                layers: list[int]) -> dict[int, int]:
+    """Assign each logical qubit to a trap according to the chosen strategy;
+    ``layers`` is ``dag_layers(circuit)``."""
     n = circuit.n_qubits
     traps = topology.traps
     if params.strategy is Strategy.EVEN_DIVIDED:
@@ -136,16 +135,10 @@ def _first_level(circuit: Circuit, topology: Topology, params: MappingParams,
     raise ValueError(f"unknown strategy {params.strategy}")
 
 
-def interaction_scores(circuit: Circuit, trap_assignment: dict[int, int],
-                       k: int) -> dict[int, tuple[int, int]]:
+def interaction_scores(circuit: Circuit, trap_assignment: dict[int, int], k: int,
+                       layers: list[int]) -> dict[int, tuple[int, int]]:
     """Per-qubit (E, I): cross-trap vs same-trap gate partners within the
-    first k DAG layers."""
-    return _interaction_scores(circuit, trap_assignment, k, dag_layers(circuit))
-
-
-def _interaction_scores(circuit: Circuit, trap_assignment: dict[int, int], k: int,
-                        layers: list[int]) -> dict[int, tuple[int, int]]:
-    """``interaction_scores`` with ``layers = dag_layers(circuit)`` given."""
+    first k DAG layers; ``layers`` is ``dag_layers(circuit)``."""
     E = {q: 0 for q in range(circuit.n_qubits)}
     I = {q: 0 for q in range(circuit.n_qubits)}
     for g in circuit.gates:
@@ -200,6 +193,6 @@ def initial_mapping(circuit: Circuit, graph: DeviceGraph,
     """Full two-level placement: logical qubit -> slot node."""
     params = params or MappingParams()
     layers = dag_layers(circuit)
-    assignment = _first_level(circuit, graph.topology, params, layers)
-    scores = _interaction_scores(circuit, assignment, params.lookahead_k, layers)
+    assignment = first_level(circuit, graph.topology, params, layers)
+    scores = interaction_scores(circuit, assignment, params.lookahead_k, layers)
     return second_level(graph, assignment, scores, params)

@@ -37,7 +37,8 @@ import random
 from dataclasses import dataclass
 
 from .circuit import Circuit, build_dag
-from .device import EDGE_KINDS, DeviceGraph, EdgeKind, WeightParams, linear_topology, to_graph
+from .device import EDGE_KINDS, DeviceGraph, WeightParams, linear_topology, to_graph
+from .events import EventKind
 from .scheduler import Schedule
 from .state import MachineState, run_ready_gates
 from .costmodel import CostParams, Metrics, evaluate
@@ -133,12 +134,12 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
         weight, shuttles, swaps = cost
         for u, v, w, kinds in moves:
             kind = kinds[(slots[u] is not None) + (slots[v] is not None)]
-            if kind is EdgeKind.INVALID:
+            if kind is None:
                 continue
             new_slots = list(slots)
             new_slots[u], new_slots[v] = slots[v], slots[u]
             new_slots = tuple(new_slots)
-            if kind is EdgeKind.SHUTTLE:
+            if kind is EventKind.SHUTTLE:
                 # only a shuttle changes a qubit's trap: gates on the moved
                 # qubit may now run, and the bound may change
                 moved = slots[u] if slots[u] is not None else slots[v]
@@ -148,7 +149,7 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
                 new_cost = (weight + w, shuttles + 1, swaps)
             else:
                 new_exec, new_h = executed, h
-                new_cost = (weight + w, shuttles, swaps + (kind is EdgeKind.QUBIT_SWAP))
+                new_cost = (weight + w, shuttles, swaps + (kind is EventKind.SWAP))
             new_path = path + ((u, v),)
             key = (new_slots, new_exec)
             seen = best_seen.get(key)

@@ -88,8 +88,10 @@ class SchedulerParams:
     iteration_cap_per_gate: int = 10000
 
     def __post_init__(self):
-        if self.delta < 0 or self.m < 1:
-            raise ValueError("delta must be >= 0 and m >= 1")
+        if not 0 <= self.delta < np.inf:  # NaN fails the test too
+            raise ValueError("delta must be finite and >= 0")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
 
 
 class SchedulerStuck(ValueError):
@@ -103,27 +105,6 @@ class SchedulerStuck(ValueError):
 
 class DeviceFull(ValueError):
     """Every trap is full, so no qubit can be shuttled to route a gate."""
-
-
-class DecayTable:
-    """Iteration index of the last generic swap touching each qubit."""
-
-    def __init__(self, window: int):
-        self.window = window
-        self.last_touched: dict[int, int] = {}
-
-    def touch(self, qubits, iteration: int):
-        for q in qubits:
-            self.last_touched[q] = iteration
-
-    def is_recent(self, qubit: int, iteration: int) -> bool:
-        last = self.last_touched.get(qubit)
-        if last is None:
-            return False
-        if iteration - last > self.window:
-            del self.last_touched[qubit]  # stale entry, reset to factor 1
-            return False
-        return True
 
 
 @dataclass
@@ -225,7 +206,7 @@ def _penalty_change(edge: Edge, state: MachineState) -> int:
         src, dst = trap[edge.u], trap[edge.v]
     else:
         src, dst = trap[edge.v], trap[edge.u]
-    return (state.space_count[dst] == 1) - (state.space_count[src] == 0)
+    return (len(state.spaces[dst]) == 1) - (not state.spaces[src])
 
 
 def heuristic_h(edge: Edge, state: MachineState, frontier_gates, dist) -> float:
@@ -351,7 +332,7 @@ class _EscapePlanner:
         goal = None
         while queue:
             t = queue.popleft()
-            if self.state.space_count[t] > 0:
+            if self.state.spaces[t]:
                 goal = t
                 break
             for nb, _ in self.graph.trap_adj[t]:
@@ -392,7 +373,7 @@ class _EscapePlanner:
         try:
             for t_next in route[1:]:
                 t_cur = g.node_trap[mapping[mover]]
-                if self.state.space_count[t_next] == 0:
+                if not self.state.spaces[t_next]:
                     self._make_space_in(t_next, protected)
                 dst = self._dest_end(t_next)
                 cap = len(g.trap_slots[t_cur])
@@ -479,7 +460,10 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
             dist[s] = row
         unfilled.difference_update(traps)
 
-    decay = DecayTable(params.decay_reset_window)
+    # the iteration of the last generic swap that moved each qubit; a qubit
+    # moved within the last ``window`` iterations decays its gates' scores
+    window = params.decay_reset_window
+    last_moved = [-window - 1] * circuit.n_qubits
     remaining_uses = [0] * circuit.n_qubits
     for g in circuit.gates:
         if g.is_two_qubit:
@@ -507,7 +491,8 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         events.append(ev)
         fill_reach(ev.qubits)
         iteration += 1
-        decay.touch(ev.qubits, iteration)
+        for q in ev.qubits:
+            last_moved[q] = iteration
         prev_edge = (e.u, e.v)
         swaps_since_gate += 1
         if swaps_since_gate > params.iteration_cap_per_gate:
@@ -521,7 +506,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         for gid in sorted(dag.frontier):
             g = dag.gates[gid]
             q1, q2 = g.qubits
-            recent = decay.is_recent(q1, iteration) or decay.is_recent(q2, iteration)
+            recent = iteration - max(last_moved[q1], last_moved[q2]) <= window
             frontier_gates.append((q1, q2, 1.0 + params.delta if recent else 1.0))
 
         pen_now = state.traps_without_space

@@ -4,20 +4,22 @@ that read them.
 A generic swap on an edge is a SWAP gate, a space shift or a shuttle
 depending only on the edge and on which endpoints hold ions.  The graph fixes
 each edge's class once; ``MachineState`` keeps a 0/1 occupancy per slot, and
-``classify`` looks the kind up in ``EDGE_KINDS``.  A two-qubit gate can run
-exactly when its qubits share a trap (``co_trapped``), and
-``run_ready_gates`` is the one routine that runs ready gates.  It passes
-over the whole frontier once and then over only the gates each pass
-promoted: gates move no ion, so a gate a pass skips stays blocked until the
-next move.  ``ion_distance`` counts the trap's spaces between two qubits
-instead of walking the slots there.
+``classify`` looks up in ``EDGE_KINDS`` the ``EventKind`` the swap makes, or
+None where the edge allows none.  ``spaces`` is the one record of each trap's
+free positions: chain lengths and the count of spaceless traps follow from
+it.  A two-qubit gate can run exactly when its qubits share a trap
+(``co_trapped``), and ``run_ready_gates`` is the one routine that runs ready
+gates.  It passes over the whole frontier once and then over only the gates
+each pass promoted: gates move no ion, so a gate a pass skips stays blocked
+until the next move.  ``ion_distance`` counts the trap's spaces between two
+qubits instead of walking the slots there.
 
 One compile job owns one MachineState.  Every structural change goes through
 ``_exchange``, called by ``apply_generic_swap`` for real moves and by the
-scheduler's escape planner, which tries its moves on the live state and
-takes them back, so the mapping, occupancy and space recorder stay
-consistent with each other; ``apply_generic_swap`` also returns the event,
-which ``costmodel.evaluate`` times and grades: the state keeps placement only.
+scheduler's escape planner, which tries its moves on the live state and takes
+them back, so the mapping, occupancy and spaces stay consistent with each
+other; ``apply_generic_swap`` also returns the event, which
+``costmodel.evaluate`` times and grades: the state keeps placement only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import DepGraph
-from .device import EDGE_KINDS, DeviceGraph, Edge, EdgeKind
+from .device import EDGE_KINDS, DeviceGraph, Edge
 from .events import EventKind, EventRecord
 
 
@@ -42,19 +44,16 @@ class MachineState:
         # 0/1 per slot: with the graph's static edge classes it decides every
         # edge's kind, one lookup per edge (see ``classify``)
         self.occupied = np.array([q is not None for q in slot_qubit], dtype=np.intp)
-        self.spaces: dict[int, set[int]] = {}
-        self.space_count: dict[int, int] = {}
-        for trap_id, slots in graph.trap_slots.items():
-            poss = {pos for pos, n in enumerate(slots) if slot_qubit[n] is None}
-            self.spaces[trap_id] = poss
-            self.space_count[trap_id] = len(poss)
-        self.traps_without_space = sum(1 for c in self.space_count.values() if c == 0)
+        self.spaces: dict[int, set[int]] = {
+            t: {pos for pos, n in enumerate(slots) if slot_qubit[n] is None}
+            for t, slots in graph.trap_slots.items()}
+        self.traps_without_space = sum(not s for s in self.spaces.values())
 
     # -- queries ------------------------------------------------------------
 
     def chain_length(self, trap_id: int) -> int:
         """Number of ions currently in the trap (spaces excluded)."""
-        return self.graph.topology.trap(trap_id).capacity - self.space_count[trap_id]
+        return len(self.graph.trap_slots[trap_id]) - len(self.spaces[trap_id])
 
     def ion_distance(self, qa: int, qb: int) -> int:
         """Ions strictly between two co-trapped qubits (spaces not counted):
@@ -71,8 +70,9 @@ class MachineState:
                 ions -= 1
         return ions
 
-    def classify(self, u: int, v: int) -> EdgeKind:
-        """The generic swap edge (u, v) allows now; KeyError if there is no edge."""
+    def classify(self, u: int, v: int) -> EventKind | None:
+        """The kind of generic swap edge (u, v) allows now, or None if it allows
+        none; KeyError if there is no edge."""
         occ = self.occupied
         return EDGE_KINDS[self.graph.edge_class[self.graph.edge_id(u, v)]][occ[u] + occ[v]]
 
@@ -96,50 +96,36 @@ class MachineState:
         if qv is not None:
             self.mapping[qv] = u
         for node, before, after in ((u, qu, qv), (v, qv, qu)):
-            trap, pos = g.node_trap[node], g.node_pos[node]
+            spaces = self.spaces[g.node_trap[node]]
             if before is None and after is not None:
-                self.spaces[trap].discard(pos)
-                self._bump_space(trap, -1)
+                spaces.discard(g.node_pos[node])
+                self.traps_without_space += not spaces
             elif before is not None and after is None:
-                self.spaces[trap].add(pos)
-                self._bump_space(trap, +1)
-
-    def _bump_space(self, trap: int, delta: int):
-        old = self.space_count[trap]
-        self.space_count[trap] = old + delta
-        if old == 0 and delta > 0:
-            self.traps_without_space -= 1
-        elif old + delta == 0 and delta < 0:
-            self.traps_without_space += 1
+                self.traps_without_space -= not spaces
+                spaces.add(g.node_pos[node])
 
     def apply_generic_swap(self, edge: Edge) -> EventRecord:
         """Exchange the contents of the edge's endpoints; returns the event."""
-        kind = self.classify(edge.u, edge.v)
-        if kind is EdgeKind.QUBIT_SWAP:
-            qa, qb = self.slot_qubit[edge.u], self.slot_qubit[edge.v]
-            trap = self.graph.node_trap[edge.u]
-            d = self.ion_distance(qa, qb)
-            n = self.chain_length(trap)
-            self._exchange(edge.u, edge.v)
-            return EventRecord(EventKind.SWAP, qubits=(qa, qb), slots=(edge.u, edge.v),
-                               traps=(trap,), weight=edge.weight, chain_ions=n, ion_dist=d)
-        if kind is EdgeKind.SPACE_SHIFT:
-            q = self.slot_qubit[edge.u] if self.slot_qubit[edge.u] is not None \
-                else self.slot_qubit[edge.v]
-            trap = self.graph.node_trap[edge.u]
-            self._exchange(edge.u, edge.v)
-            return EventRecord(EventKind.SHIFT, qubits=(q,), slots=(edge.u, edge.v),
-                               traps=(trap,), weight=edge.weight)
-        if kind is EdgeKind.SHUTTLE:
-            if self.slot_qubit[edge.u] is not None:
-                src_node, dst_node = edge.u, edge.v
-            else:
-                src_node, dst_node = edge.v, edge.u
-            q = self.slot_qubit[src_node]
+        u, v = edge.u, edge.v
+        kind = self.classify(u, v)
+        qu, qv = self.slot_qubit[u], self.slot_qubit[v]
+        mover = qu if qu is not None else qv  # the one qubit of a shift or shuttle
+        trap = self.graph.node_trap[u]
+        if kind is EventKind.SWAP:
+            d, n = self.ion_distance(qu, qv), self.chain_length(trap)
+            self._exchange(u, v)
+            return EventRecord(kind, qubits=(qu, qv), slots=(u, v), traps=(trap,),
+                               weight=edge.weight, chain_ions=n, ion_dist=d)
+        if kind is EventKind.SHIFT:
+            self._exchange(u, v)
+            return EventRecord(kind, qubits=(mover,), slots=(u, v), traps=(trap,),
+                               weight=edge.weight)
+        if kind is EventKind.SHUTTLE:
+            src_node, dst_node = (u, v) if qu is not None else (v, u)
             src, dst = self.graph.node_trap[src_node], self.graph.node_trap[dst_node]
-            self._exchange(edge.u, edge.v)
+            self._exchange(u, v)
             degs = tuple(self.graph.topology.junction(j).degree for j in edge.junctions)
-            return EventRecord(EventKind.SHUTTLE, qubits=(q,), slots=(src_node, dst_node),
+            return EventRecord(kind, qubits=(mover,), slots=(src_node, dst_node),
                                traps=(src, dst), segments=edge.segments,
                                junction_ids=edge.junctions, junction_degrees=degs,
                                weight=edge.weight, chain_ions=self.chain_length(dst))
@@ -158,7 +144,7 @@ class MachineState:
         for trap_id, slots in self.graph.trap_slots.items():
             poss = {self.graph.node_pos[n] for n in slots if self.slot_qubit[n] is None}
             assert poss == self.spaces[trap_id]
-            assert len(poss) == self.space_count[trap_id]
+        assert self.traps_without_space == sum(not s for s in self.spaces.values())
 
 
 def run_ready_gates(state: MachineState, dag: DepGraph, events: list[EventRecord]) -> int:

@@ -17,7 +17,6 @@ without ``MachineState`` at all.
 
 from __future__ import annotations
 
-from .device import EdgeKind
 from .events import EventKind
 from .scheduler import Schedule
 from .state import MachineState
@@ -76,13 +75,10 @@ def replay(sched: Schedule) -> list[str]:
             except (KeyError, TypeError):  # no such edge, or a slot that is no node id
                 violations.append(f"{where}: no edge joins slots {u} and {v}")
                 continue
-            expected = {EventKind.SWAP: EdgeKind.QUBIT_SWAP,
-                        EventKind.SHIFT: EdgeKind.SPACE_SHIFT,
-                        EventKind.SHUTTLE: EdgeKind.SHUTTLE}[ev.kind]
-            if kind is not expected:
+            if kind is not ev.kind:
                 violations.append(
-                    f"{where}: edge ({u},{v}) classifies as {kind.value}, "
-                    f"not {expected.value}")
+                    f"{where}: edge ({u},{v}) classifies as "
+                    f"{'invalid' if kind is None else kind.value}, not {ev.kind.value}")
                 continue
             made = state.apply_generic_swap(graph.edge(u, v))
             if ev != made:

@@ -87,6 +87,33 @@ def test_unknown_generator_parameter_exit_code(capsys):
     assert err.startswith("error: ") and "'foo'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("gen, topology, message", [
+    ("qft:8:foo", "L3:4", "generator spec 'qft:8:foo': 'foo' is not param=value"),
+    ("qft:x", "L3:4", "generator spec 'qft:x': size 'x' is not an integer"),
+    ("qft:8:n=x", "L3:4", "generator spec 'qft:8:n=x': parameter n 'x' is not an integer"),
+    ("qft:8", "G2:4", "topology spec 'G2:4': columns '' is not an integer"),
+    ("qft:8", "L:4", "topology spec 'L:4': trap count '' is not an integer"),
+    ("qft:8", "Lx:4", "topology spec 'Lx:4': trap count 'x' is not an integer"),
+    ("qft:8", "L4:x", "topology spec 'L4:x': capacity 'x' is not an integer"),
+])
+def test_malformed_spec_names_the_part(capsys, gen, topology, message):
+    assert main(["compile", "--gen", gen, "--topology", topology]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--delta", "nan", "delta"), ("--delta", "inf", "delta"),
+    ("--shuttle-weight", "inf", "shuttle_base"), ("--shuttle-weight", "nan", "shuttle_base"),
+    ("--alpha", "nan", "alpha"), ("--beta", "-inf", "beta"),
+])
+def test_non_finite_parameter_exit_code(capsys, flag, value, field):
+    # --delta nan used to exit 0 with 12 shuttles where the default run gives 16
+    argv = ["compile", "--gen", "qft:8", "--topology", "L3:4", f"{flag}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be finite") and "Traceback" not in err
+
+
 def test_compile_and_sweep_take_no_seed(capsys):
     """The compile pipeline is deterministic and draws nothing at random."""
     for cmd in (["compile"], ["sweep", "--axis", "delta", "--values", "0.001"]):

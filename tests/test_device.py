@@ -1,6 +1,6 @@
 import pytest
 
-from qccdc import (EdgeKind, MachineState, WeightParams, grid_topology, linear_topology,
+from qccdc import (EventKind, MachineState, WeightParams, grid_topology, linear_topology,
                    parse_topology_spec, star_topology, to_graph, topology_from_json)
 
 
@@ -51,7 +51,7 @@ def test_shuttle_edges_connect_end_slots_only():
     g = to_graph(linear_topology(2, 4), WeightParams())
     for e in g.edges:
         if e.is_shuttle:
-            assert g.is_end_slot(e.u) and g.is_end_slot(e.v)
+            assert g.node_pos[e.u] in (0, 3) and g.node_pos[e.v] in (0, 3)
             assert g.node_trap[e.u] != g.node_trap[e.v]
         else:
             assert g.node_trap[e.u] == g.node_trap[e.v]
@@ -62,19 +62,19 @@ def test_classify_rules():
     # slots 0 1 2 | 3 4 5 hold q0 q1 _ | q2 q3 _
     s = MachineState(g, {0: 0, 1: 1, 2: 3, 3: 4})
     # rule 1/2: below-threshold edge, both qubits: a SWAP, and a gate may run
-    assert s.classify(0, 1) is EdgeKind.QUBIT_SWAP
+    assert s.classify(0, 1) is EventKind.SWAP
     assert s.co_trapped(0, 1) and s.co_trapped(2, 3)
     # qubits on the two ends of a shuttle edge neither swap nor run a gate
-    assert s.classify(0, 3) is EdgeKind.INVALID
+    assert s.classify(0, 3) is None
     assert not s.co_trapped(0, 2)
     # rule 3: above-threshold edge, exactly one space
-    assert s.classify(2, 3) is EdgeKind.SHUTTLE
+    assert s.classify(2, 3) is EventKind.SHUTTLE
     # rule 4: adjacent intra edge, one space
-    assert s.classify(1, 2) is EdgeKind.SPACE_SHIFT
+    assert s.classify(1, 2) is EventKind.SHIFT
     # non-adjacent intra edge with a space cannot shift
-    assert s.classify(0, 2) is EdgeKind.INVALID
+    assert s.classify(0, 2) is None
     # shuttle edge with spaces at both ends is invalid
-    assert s.classify(2, 5) is EdgeKind.INVALID
+    assert s.classify(2, 5) is None
 
 
 def test_weight_params_validation():
@@ -83,6 +83,12 @@ def test_weight_params_validation():
         to_graph(linear_topology(2, 600), WeightParams())
     with pytest.raises(ValueError):
         to_graph(linear_topology(2, 3), WeightParams(threshold=1.5))
+    # the threshold tests let a NaN or infinite shuttle weight through, and
+    # the distance table then divided by it
+    for name in ("inner_weight", "shuttle_base", "threshold"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                WeightParams(**{name: bad})
 
 
 def test_parse_topology_spec():
@@ -94,6 +100,15 @@ def test_parse_topology_spec():
     assert len(t.paths) == 6
     with pytest.raises(ValueError):
         parse_topology_spec("S4")
+
+
+@pytest.mark.parametrize("spec, part", [
+    ("G2:4", "columns ''"), ("Gx3:4", "rows ''"), ("L:4", "trap count ''"),
+    ("Lx:4", "trap count 'x'"), ("L4:x", "capacity 'x'"), ("L4:", "capacity ''"),
+])
+def test_malformed_topology_spec_names_the_part(spec, part):
+    with pytest.raises(ValueError, match=f"topology spec '{spec}': {part} is not an integer"):
+        parse_topology_spec(spec)
 
 
 def test_topology_from_json_family_form():

@@ -17,22 +17,23 @@ def chain_circuit(n):
 def test_even_divided_round_robin():
     topo = linear_topology(3, 4)
     c = chain_circuit(7)
-    a = first_level(c, topo, MappingParams(strategy=Strategy.EVEN_DIVIDED))
+    a = first_level(c, topo, MappingParams(strategy=Strategy.EVEN_DIVIDED), dag_layers(c))
     assert a == {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2, 6: 0}
 
 
 def test_gathering_fills_with_reserve():
     topo = linear_topology(3, 4)
     c = chain_circuit(7)
-    a = first_level(c, topo, MappingParams(strategy=Strategy.GATHERING))
+    a = first_level(c, topo, MappingParams(strategy=Strategy.GATHERING), dag_layers(c))
     # capacity-1 = 3 qubits per trap, in qubit order
     assert a == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 2}
 
 
 def test_gathering_capacity_error():
     topo = linear_topology(2, 3)
+    c = chain_circuit(5)
     with pytest.raises(ValueError):
-        first_level(chain_circuit(5), topo, MappingParams(strategy=Strategy.GATHERING))
+        first_level(c, topo, MappingParams(strategy=Strategy.GATHERING), dag_layers(c))
 
 
 def test_sta_groups_interacting_qubits():
@@ -42,7 +43,7 @@ def test_sta_groups_interacting_qubits():
         gates.append(Gate(len(gates), "cx", (a, b)))
     c = Circuit(6, tuple(gates))
     topo = linear_topology(2, 4)
-    a = first_level(c, topo, MappingParams(strategy=Strategy.STA))
+    a = first_level(c, topo, MappingParams(strategy=Strategy.STA), dag_layers(c))
     groups = {}
     for q, t in a.items():
         groups.setdefault(t, set()).add(q)
@@ -67,7 +68,7 @@ def test_dag_layers_oracle():
 def test_interaction_scores_split_internal_external():
     c = chain_circuit(4)  # gates (0,1), (1,2), (2,3)
     assignment = {0: 0, 1: 0, 2: 1, 3: 1}
-    scores = interaction_scores(c, assignment, k=8)
+    scores = interaction_scores(c, assignment, k=8, layers=dag_layers(c))
     assert scores[0] == (0, 1)   # only internal partner 1
     assert scores[1] == (1, 1)   # internal 0, external 2
     assert scores[2] == (1, 1)
@@ -105,14 +106,17 @@ def test_even_division_filling_every_trap_rejected():
     and neither does a single trap."""
     params = MappingParams(strategy=Strategy.EVEN_DIVIDED)
     with pytest.raises(ValueError, match=r"fills every trap, but gate 1 \(cx \(1, 0\)\)"):
-        first_level(qft(6), linear_topology(2, 3), params)
+        first_level(qft(6), linear_topology(2, 3), params, dag_layers(qft(6)))
     local = Circuit(4, (Gate(0, "h", (1,)), Gate(1, "cx", (0, 2)), Gate(2, "cx", (3, 1))))
-    assert first_level(local, linear_topology(2, 2), params) == {0: 0, 1: 1, 2: 0, 3: 1}
+    assert first_level(local, linear_topology(2, 2), params, dag_layers(local)) == \
+        {0: 0, 1: 1, 2: 0, 3: 1}
     graph = to_graph(linear_topology(2, 2))
     assert len(schedule(local, graph, initial_mapping(local, graph, params)).events) == 3
     one_trap = Topology((Trap(0, 4),), (), ())
-    assert first_level(chain_circuit(4), one_trap, params) == dict.fromkeys(range(4), 0)
-    assert first_level(qft(5), linear_topology(2, 3), params) == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
+    c4, c5 = chain_circuit(4), qft(5)
+    assert first_level(c4, one_trap, params, dag_layers(c4)) == dict.fromkeys(range(4), 0)
+    assert first_level(c5, linear_topology(2, 3), params, dag_layers(c5)) == \
+        {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
 
 
 def test_sta_mapping_builds_the_dag_once(monkeypatch):
@@ -124,12 +128,24 @@ def test_sta_mapping_builds_the_dag_once(monkeypatch):
     got = initial_mapping(c, graph, MappingParams(strategy=Strategy.STA))
     assert len(calls) == 1
     params = MappingParams(strategy=Strategy.STA)
-    assignment = first_level(c, graph.topology, params)
-    assert got == second_level(graph, assignment,
-                               interaction_scores(c, assignment, params.lookahead_k), params)
+    layers = dag_layers(c)
+    assignment = first_level(c, graph.topology, params, layers)
+    assert got == second_level(
+        graph, assignment, interaction_scores(c, assignment, params.lookahead_k, layers), params)
+
+
+def test_mapping_params_validation():
+    with pytest.raises(ValueError, match="lookahead_k"):
+        MappingParams(lookahead_k=0)
+    for name in ("alpha", "beta"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                MappingParams(**{name: bad})
+        MappingParams(**{name: -2.0})  # a negative weight is a valid preference
 
 
 def test_even_divided_overflow():
     c = chain_circuit(9)
     with pytest.raises(ValueError):
-        first_level(c, linear_topology(2, 4), MappingParams(strategy=Strategy.EVEN_DIVIDED))
+        first_level(c, linear_topology(2, 4), MappingParams(strategy=Strategy.EVEN_DIVIDED),
+                    dag_layers(c))

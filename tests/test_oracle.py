@@ -8,7 +8,8 @@ from qccdc import (BoundMode, Circuit, Gate, Infeasible, OracleLimits,
                    linear_topology, random_instance, replay, schedule,
                    to_graph)
 from qccdc.circuit import build_dag
-from qccdc.device import EDGE_KINDS, EdgeKind
+from qccdc.device import EDGE_KINDS
+from qccdc.events import EventKind
 from qccdc.state import MachineState
 
 
@@ -60,15 +61,15 @@ def reference_exact(circuit, graph, mapping, limits=None):
             continue
         for e, cls in zip(graph.edges, edge_class):
             kind = EDGE_KINDS[cls][(slots[e.u] is not None) + (slots[e.v] is not None)]
-            if kind is EdgeKind.INVALID:
+            if kind is None:
                 continue
             new_slots = list(slots)
             new_slots[e.u], new_slots[e.v] = new_slots[e.v], new_slots[e.u]
             new_slots = tuple(new_slots)
             new_exec = run_free_gates(new_slots, executed)
             new_cost = (cost[0] + e.weight,
-                        cost[1] + (1 if kind is EdgeKind.SHUTTLE else 0),
-                        cost[2] + (1 if kind is EdgeKind.QUBIT_SWAP else 0))
+                        cost[1] + (1 if kind is EventKind.SHUTTLE else 0),
+                        cost[2] + (1 if kind is EventKind.SWAP else 0))
             key = (new_slots, new_exec)
             if key in best_seen and best_seen[key] <= new_cost:
                 continue

@@ -16,29 +16,29 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from qccdc import (EdgeKind, Junction, Path, Topology, Trap, WeightParams, distance_table,
+from qccdc import (EventKind, Junction, Path, Topology, Trap, WeightParams, distance_table,
                    grid_topology, linear_topology, star_topology, to_graph)
 from qccdc.scheduler import candidates, heuristic_h, heuristic_scores
 from qccdc.state import MachineState
 
-GENERIC = (EdgeKind.QUBIT_SWAP, EdgeKind.SPACE_SHIFT, EdgeKind.SHUTTLE)
+GENERIC = (EventKind.SWAP, EventKind.SHIFT, EventKind.SHUTTLE)
 
 
 def reference_kind(graph, u, v, slot_qubit):
     """The generic swap on edge (u, v) from its weight and the occupancy: two
     qubits swap on an edge at or below the threshold; a qubit and a space
     shuttle on one above it, or shift on an intra edge of weight inner_weight
-    (adjacent slots); anything else is invalid."""
+    (adjacent slots); anything else allows none (None)."""
     edge = graph.edge(u, v)
     qu, qv = slot_qubit[u] is not None, slot_qubit[v] is not None
     below = edge.weight <= graph.params.threshold
     if below and qu and qv:
-        return EdgeKind.QUBIT_SWAP
+        return EventKind.SWAP
     if qu != qv and not below:
-        return EdgeKind.SHUTTLE
+        return EventKind.SHUTTLE
     if qu != qv and edge.weight == graph.params.inner_weight:
-        return EdgeKind.SPACE_SHIFT
-    return EdgeKind.INVALID
+        return EventKind.SHIFT
+    return None
 
 
 def chain(caps, hops, parallel=False):
@@ -161,8 +161,8 @@ def test_full_to_one_example_moves_the_penalty():
     penalty terms, so the property above covers them on every run."""
     graph, state, frontier = prepare(*FULL_TO_ONE)
     shuttle = graph.edge(2, 3)
-    assert state.classify(2, 3) is EdgeKind.SHUTTLE
-    assert state.space_count == {0: 0, 1: 1}
+    assert state.classify(2, 3) is EventKind.SHUTTLE
+    assert state.spaces == {0: set(), 1: {0}}
     dist = distance_table(graph, 2).tolist()
     h = heuristic_h(shuttle, state, frontier, dist)
     # q2 lands next to q3, one intra step apart, and the penalty stays at one

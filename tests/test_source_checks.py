@@ -1,9 +1,15 @@
-"""Checks on the package source that keep its error handling intact under -O.
+"""Checks on the package source: error handling that survives -O, and no
+definition without a caller.
 
 ``python -O`` strips ``assert`` statements, so a check written as one
 vanishes; a bare ``RuntimeError`` says nothing a caller can catch by type.
 The package raises typed errors instead.  The only asserts allowed are in
 ``MachineState.check_consistency``, a test-time self-check.
+
+Every function, method and class of the package must be referred to
+somewhere in the program (the package, the benchmarks, the demos and the
+tools) outside its own definition and the package's ``__init__`` exports.
+``check_consistency``, which only the tests call, is the one exception.
 """
 
 import ast
@@ -12,6 +18,8 @@ from pathlib import Path
 import qccdc
 
 SRC = Path(qccdc.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
+PROGRAM = [REPO / d for d in ("src", "benchmarks", "demos", "tools")]
 
 
 def offences(path):
@@ -48,3 +56,67 @@ def test_the_check_sees_what_it_forbids(tmp_path):
                    "    assert x\n"
                    "    raise RuntimeError('no')\n")
     assert offences(bad) == ["bad.py:5: assert", "bad.py:6: raise RuntimeError"]
+
+
+def unreferenced(dirs, package):
+    """``file:line: name`` of each non-dunder function, method or class in
+    ``package`` that no code under ``dirs`` refers to: by name, as an
+    attribute, or by a string equal to the name (as ``getattr`` and the
+    benchmark's tracer do).  References inside the definition itself and
+    in ``package/__init__.py`` do not count."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for d in dirs for p in sorted(d.rglob("*.py"))}
+    refs: dict[str, set[int]] = {}
+    for path, tree in trees.items():
+        if path == package / "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, set()).add(id(node))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.setdefault(node.value, set()).add(id(node))
+    found = []
+    for path, tree in trees.items():
+        if path.parent != package:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name == "check_consistency" or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not refs.get(name, set()) - {id(n) for n in ast.walk(node)}:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_every_definition_has_a_caller():
+    assert unreferenced(PROGRAM, REPO / "src" / "qccdc") == []
+
+
+def test_the_caller_check_sees_what_it_forbids(tmp_path):
+    pkg, tools = tmp_path / "pkg", tmp_path / "tools"
+    pkg.mkdir()
+    tools.mkdir()
+    (pkg / "__init__.py").write_text("from .mod import Kept, dead, used\n")
+    (pkg / "mod.py").write_text(
+        "def used():\n"
+        "    'Calls Kept, never dead.'\n"
+        "    return Kept().go()\n"
+        "def dead():\n"
+        "    return 'dead'\n"
+        "def loops(n):\n"
+        "    return loops(n - 1)\n"
+        "class Kept:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def go(self):\n"
+        "        return getattr(self, 'hooked')\n"
+        "    def hooked(self):\n"
+        "        pass\n"
+        "    def check_consistency(self):\n"
+        "        pass\n")
+    (tools / "run.py").write_text("import pkg\npkg.used()\n")
+    assert unreferenced([pkg, tools], pkg) == ["mod.py:4: dead", "mod.py:6: loops"]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qccdc import (Circuit, CostParams, EdgeKind, EventKind, MachineState, Schedule,
+from qccdc import (Circuit, CostParams, EventKind, MachineState, Schedule,
                    WeightParams, evaluate, linear_topology, to_graph)
 
 
@@ -77,7 +77,7 @@ def test_generic_swap_involution(moves):
     edges = [s.graph.edge(0, 1), s.graph.edge(1, 2), s.graph.edge(3, 4)]
     for idx in moves:
         e = edges[idx]
-        if s.classify(e.u, e.v) not in (EdgeKind.QUBIT_SWAP, EdgeKind.SPACE_SHIFT):
+        if s.classify(e.u, e.v) not in (EventKind.SWAP, EventKind.SHIFT):
             continue
         before = list(s.slot_qubit)
         s.apply_generic_swap(e)
@@ -98,8 +98,7 @@ def test_nbar_monotone_under_random_swaps():
     prev = heat_after(s, start, events, p)
     for _ in range(200):
         usable = [e for e in s.graph.edges
-                  if s.classify(e.u, e.v) in (EdgeKind.QUBIT_SWAP,
-                                              EdgeKind.SPACE_SHIFT, EdgeKind.SHUTTLE)]
+                  if s.classify(e.u, e.v) is not None]
         ev = s.apply_generic_swap(rng.choice(usable))
         events.append(ev)
         now = heat_after(s, start, events, p)
