@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 
 
-ONE_QUBIT_GATES = {"h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "u1", "u2", "u3"}
+ONE_QUBIT_GATES = {"h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "u1"}
 TWO_QUBIT_GATES = {"cx", "cz", "cp", "cu1", "rzz", "rxx", "ryy", "ms"}
 
 
@@ -130,9 +130,16 @@ def build_dag(circuit: Circuit) -> DepGraph:
 # OpenQASM 2.0 subset
 # ---------------------------------------------------------------------------
 
-_QARG_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\]$")
-_QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\[([0-9]+)\]$")
-_GATE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^)]*)\))?\s+(.*)$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_QARG_RE = re.compile(rf"^({_NAME})\[([0-9]+)\]$")
+_QREG_RE = re.compile(rf"qreg\s+({_NAME})\[([0-9]+)\]$")
+_GATE_RE = re.compile(rf"({_NAME})\s*(\(([^)]*)\))?\s+(.*)$")
+# A gate statement in the form ``to_qasm`` writes, in one match: the name, an
+# optional angle and one or two ``reg[index]`` operands.  Where it matches,
+# ``_GATE_RE`` and ``_QARG_RE`` find the same name, angle, registers and
+# indices; any other statement takes the general path.
+_GATE_STMT_RE = re.compile(rf"({_NAME})(?:\s*\(([^)]*)\))?\s+({_NAME})\[([0-9]+)\]"
+                           rf"(?:\s*,\s*({_NAME})\[([0-9]+)\])?")
 _EXPR_RE = re.compile(r"[0-9eE\.\+\-\*/\(\) pi]*")
 # A plain numeric angle: an OpenQASM real or nninteger with an optional sign,
 # the form ``to_qasm`` writes with ``repr``.  ``float`` reads each of these to
@@ -144,6 +151,7 @@ _LITERAL_RE = re.compile(r" *(?:[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[
                          r"|[0-9]+[eE][+-]?[0-9]+|[1-9][0-9]{0,307})|0+) *")
 
 _PARAM_NAMES = {"pi": math.pi}
+_GATE_NAMES = ONE_QUBIT_GATES | TWO_QUBIT_GATES | {"swap"}
 
 
 def _eval_param(expr: str, line_no: int) -> float:
@@ -168,27 +176,31 @@ def _eval_param(expr: str, line_no: int) -> float:
 def parse_qasm(text: str, name: str = "qasm") -> Circuit:
     """Parse an OpenQASM 2.0 subset into a Circuit.
 
-    Supported statements: a single qreg, creg (ignored), the one- and
-    two-qubit gates in ONE_QUBIT_GATES / TWO_QUBIT_GATES, ``swap`` (expanded
-    into the standard 3-CNOT sequence so explicit swaps count as two-qubit
-    gates), barrier and measure (both dropped).  An angle is a constant
-    expression of numbers, ``pi``, ``+ - * /`` and parentheses with a finite
-    value.
+    Supported statements: ``OPENQASM 2.0``, a single qreg, creg (ignored),
+    the one- and two-qubit gates in ONE_QUBIT_GATES / TWO_QUBIT_GATES,
+    ``swap`` (expanded into the standard 3-CNOT sequence so explicit swaps
+    count as two-qubit gates), barrier and measure (both dropped).  An angle
+    is a constant expression of numbers, ``pi``, ``+ - * /`` and parentheses
+    with a finite value.  A statement naming any other gate is rejected
+    before its angle and operands are read.
     """
     n_qubits = None
     qreg_name = None
     gates: list[Gate] = []
 
-    def parse_qubit(tok: str, line_no: int) -> int:
-        m = _QARG_RE.match(tok.strip())
-        if not m:
-            raise QasmError(f"bad qubit reference '{tok.strip()}'", line_no)
-        reg, idx = m.group(1), int(m.group(2))
+    def qubit(reg: str, digits: str, line_no: int) -> int:
+        idx = int(digits)
         if reg != qreg_name:
             raise QasmError(f"unknown register '{reg}'", line_no)
         if idx >= n_qubits:
             raise QasmError(f"qubit index {idx} out of range (qreg size {n_qubits})", line_no)
         return idx
+
+    def parse_qubit(tok: str, line_no: int) -> int:
+        m = _QARG_RE.match(tok.strip())
+        if not m:
+            raise QasmError(f"bad qubit reference '{tok.strip()}'", line_no)
+        return qubit(m.group(1), m.group(2), line_no)
 
     def add(label, qubits, param=None):
         gates.append(Gate(len(gates), label, tuple(qubits), param))
@@ -209,29 +221,44 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
     if buffered.strip():
         raise QasmError("unterminated statement", line_no)
 
+    one_pattern = _GATE_STMT_RE.fullmatch
     for ln, stmt in statements:
-        head = stmt.split(None, 1)[0].split("(", 1)[0].lower()
-        if head == "openqasm" or head == "include":
-            continue
-        if head == "qreg":
-            m = _QREG_RE.match(stmt)
+        m = one_pattern(stmt)
+        if m is not None and n_qubits is not None and (gate_name := m[1].lower()) in _GATE_NAMES:
+            angle, reg, idx, reg_b, idx_b = m.groups()[1:]
+            param = None if angle is None else _eval_param(angle, ln)
+            args = ([qubit(reg, idx, ln)] if reg_b is None
+                    else [qubit(reg, idx, ln), qubit(reg_b, idx_b, ln)])
+        else:
+            words = stmt.split(None, 1)
+            head = words[0].split("(", 1)[0].lower()
+            if head == "openqasm":
+                version = words[1] if len(words) > 1 else ""
+                if version != "2.0":
+                    raise QasmError(f"unsupported OpenQASM version '{version}'", ln)
+                continue
+            if head == "include":
+                continue
+            if head == "qreg":
+                m = _QREG_RE.match(stmt)
+                if not m:
+                    raise QasmError(f"bad qreg declaration '{stmt}'", ln)
+                if n_qubits is not None:
+                    raise QasmError("multiple qreg declarations are not supported", ln)
+                qreg_name, n_qubits = m.group(1), int(m.group(2))
+                continue
+            if head in ("creg", "barrier", "measure"):
+                continue
+            if n_qubits is None:
+                raise QasmError("gate statement before qreg declaration", ln)
+            m = _GATE_RE.match(stmt)
             if not m:
-                raise QasmError(f"bad qreg declaration '{stmt}'", ln)
-            if n_qubits is not None:
-                raise QasmError("multiple qreg declarations are not supported", ln)
-            qreg_name, n_qubits = m.group(1), int(m.group(2))
-            continue
-        if head in ("creg", "barrier", "measure"):
-            continue
-        if n_qubits is None:
-            raise QasmError("gate statement before qreg declaration", ln)
-
-        m = _GATE_RE.match(stmt)
-        if not m:
-            raise QasmError(f"cannot parse statement '{stmt}'", ln)
-        gate_name = m.group(1).lower()
-        param = _eval_param(m.group(3), ln) if m.group(3) is not None else None
-        args = [parse_qubit(a, ln) for a in m.group(4).split(",")]
+                raise QasmError(f"cannot parse statement '{stmt}'", ln)
+            gate_name = m.group(1).lower()
+            if gate_name not in _GATE_NAMES:
+                raise QasmError(f"unsupported gate '{gate_name}'", ln)
+            param = _eval_param(m.group(3), ln) if m.group(3) is not None else None
+            args = [parse_qubit(a, ln) for a in m.group(4).split(",")]
 
         if gate_name in ONE_QUBIT_GATES:
             if len(args) != 1:
@@ -243,15 +270,13 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
             if args[0] == args[1]:
                 raise QasmError(f"{gate_name} with identical qubits", ln)
             add(gate_name, args, param)
-        elif gate_name == "swap":
+        else:  # swap
             if len(args) != 2 or args[0] == args[1]:
                 raise QasmError("swap expects 2 distinct qubits", ln)
             a, b = args
             add("cx", (a, b))
             add("cx", (b, a))
             add("cx", (a, b))
-        else:
-            raise QasmError(f"unsupported gate '{gate_name}'", ln)
 
     if n_qubits is None:
         raise QasmError("no qreg declaration found")

@@ -12,6 +12,9 @@ an event starts once every trap and junction it uses is free, preserving
 the event-list order per resource.  It is the one heat model: only a
 shuttle heats, adding k1 + k2 * segments quanta to its destination trap as
 it completes (none if relaxed); ``Metrics.nbar`` is each trap's at the end.
+It reads the cost parameters once per call, not per event, and grades every
+gate and SWAP with ``gate_duration`` and ``gate_fidelity``, so malformed
+events raise the helpers' errors and AM1 gates at d = 0 warn once per event.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def gate_fidelity(tau_us: float, n_ions: int, nbar: float, params: CostParams) -
     return min(1.0, max(0.0, f))
 
 
-@dataclass
+@dataclass(slots=True)
 class TimedEvent:
     event: EventRecord
     start_us: float
@@ -143,49 +146,66 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
     """Time and grade a schedule; relax flags zero out inserted-op costs for
     the idealized bounds."""
     params = params or CostParams()
+    family = params.gate_family
+    one_us, one_fidelity = params.single_qubit_duration, params.single_qubit_fidelity
+    shift_us = 0.0 if relax_swap else params.space_shift_us
+    k1, k2 = params.k1, params.k2
+    GATE, SWAP, SHIFT, SHUTTLE = (EventKind.GATE, EventKind.SWAP, EventKind.SHIFT,
+                                  EventKind.SHUTTLE)
     ready: dict[object, float] = {}
+    ready_at = ready.get
     nbar: dict[int, float] = {t.id: 0.0 for t in sched.graph.topology.traps}
     success = 1.0
     makespan = 0.0
     timeline: list[TimedEvent] = []
+    add = timeline.append
 
     for ev in sched.events:
+        kind = ev.kind
+        traps = ev.traps
         fidelity = None
-        if ev.kind is EventKind.GATE:
+        if kind is GATE:
             if len(ev.qubits) == 2:
-                dur = gate_duration(params.gate_family, ev.chain_ions, ev.ion_dist)
-                fidelity = gate_fidelity(dur, ev.chain_ions, nbar[ev.traps[0]], params)
+                dur = gate_duration(family, ev.chain_ions, ev.ion_dist)
+                fidelity = gate_fidelity(dur, ev.chain_ions, nbar[traps[0]], params)
             else:
-                dur = params.single_qubit_duration
-                fidelity = params.single_qubit_fidelity
-        elif ev.kind is EventKind.SWAP:
+                dur = one_us
+                fidelity = one_fidelity
+        elif kind is SWAP:
             if relax_swap:
                 dur = 0.0
             else:
-                one = gate_duration(params.gate_family, ev.chain_ions, ev.ion_dist)
+                one = gate_duration(family, ev.chain_ions, ev.ion_dist)
                 dur = params.swap_gate_multiplier * one
-                fidelity = gate_fidelity(one, ev.chain_ions, nbar[ev.traps[0]],
+                fidelity = gate_fidelity(one, ev.chain_ions, nbar[traps[0]],
                                          params) ** params.swap_gate_multiplier
-        elif ev.kind is EventKind.SHIFT:
-            dur = 0.0 if relax_swap else params.space_shift_us
-        elif ev.kind is EventKind.SHUTTLE:
+        elif kind is SHIFT:
+            dur = shift_us
+        elif kind is SHUTTLE:
             if relax_shuttle:
                 dur = 0.0
             else:
                 dur = shuttle_duration(ev.segments, ev.junction_degrees, params)
-                nbar[ev.traps[1]] += params.k1 + params.k2 * ev.segments
+                nbar[traps[1]] += k1 + k2 * ev.segments
         else:  # pragma: no cover
-            raise ValueError(f"unknown event kind {ev.kind}")
+            raise ValueError(f"unknown event kind {kind}")
 
-        resources = list(ev.traps) + [("junction", j) for j in ev.junction_ids]
-        start = max((ready.get(r, 0.0) for r in resources), default=0.0)
+        # the event starts once every trap and junction it uses is free
+        resources = (traps + tuple(("junction", j) for j in ev.junction_ids)
+                     if ev.junction_ids else traps)
+        start = 0.0
+        for r in resources:
+            t = ready_at(r, 0.0)
+            if t > start:
+                start = t
         end = start + dur
         for r in resources:
             ready[r] = end
-        makespan = max(makespan, end)
+        if end > makespan:
+            makespan = end
         if fidelity is not None:
             success *= fidelity
-        timeline.append(TimedEvent(ev, start, dur, fidelity))
+        add(TimedEvent(ev, start, dur, fidelity))
 
     return Metrics(makespan_us=makespan, success_rate=success, timeline=timeline,
                    nbar=nbar, **sched.metrics)

@@ -313,11 +313,12 @@ def build_topology(family: str, capacity: int, *, n: int | None = None,
 
 
 def spec_int(spec: str, part: str, text: str) -> int:
-    """``int(text)``; a ValueError that names the spec and its malformed part."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{spec}: {part} '{text}' is not an integer") from None
+    """``text`` read as ASCII digits; a ValueError that names the spec and its
+    malformed part.  ``int`` alone would also read signs, spaces, ``_`` and
+    non-ASCII digits: ``L1_0:4`` as 10 traps, ``L\u0663:4`` as 3."""
+    if not text.isascii() or not text.isdigit():
+        raise ValueError(f"{spec}: {part} '{text}' is not an integer")
+    return int(text)
 
 
 def parse_topology_spec(spec: str, default_capacity: int | None = None) -> Topology:

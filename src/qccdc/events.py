@@ -1,4 +1,14 @@
-"""Schedule event records shared by the scheduler, cost model, and oracle."""
+"""Schedule event records shared by the scheduler, cost model, and oracle.
+
+``EventRecord`` is a slotted dataclass, not a frozen one: ``run_ready_gates``
+builds one per gate, and a frozen dataclass pays an ``object.__setattr__``
+per field, which makes it several times slower to build.  So the type no
+longer stops a caller from changing an event after ``replay`` checked it or a
+digest was taken; ``tests/test_source_checks.py`` checks instead that no code
+of the program assigns or deletes an event's field.  Nothing hashes an event;
+events compare field by field, and ``dataclasses.replace`` derives changed
+copies.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +23,7 @@ class EventKind(enum.Enum):
     SHUTTLE = "shuttle"    # split / move / merge between traps
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EventRecord:
     kind: EventKind
     qubits: tuple[int, ...] = ()          # logical qubits involved

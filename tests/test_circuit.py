@@ -146,3 +146,18 @@ def test_plain_literals_read_as_python_literals():
     for bad in ("01", "1_0"):
         with pytest.raises(QasmError):
             parse_qasm(f"qreg q[1];\nrz({bad}) q[0];\n")
+
+
+@pytest.mark.parametrize("header, version", [("OPENQASM 3.0", "3.0"), ("OPENQASM 3", "3"),
+                                             ("OPENQASM 2", "2"), ("OPENQASM 2.0.1", "2.0.1"),
+                                             ("OPENQASM", ""), ("openqasm 2.0 3.0", "2.0 3.0")])
+def test_openqasm_version_other_than_2_0_rejected(header, version):
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(f"// header\n{header};\nqreg q[1];\nh q[0];\n")
+    assert str(exc.value) == f"line 2: unsupported OpenQASM version '{version}'"
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("header", ["OPENQASM 2.0", "openqasm\t2.0", "OpenQASM  2.0 "])
+def test_openqasm_2_0_accepted(header):
+    assert parse_qasm(f"{header};\nqreg q[1];\nh q[0];\n").n_qubits == 1

@@ -95,6 +95,15 @@ def test_unknown_generator_parameter_exit_code(capsys):
     ("qft:8", "L:4", "topology spec 'L:4': trap count '' is not an integer"),
     ("qft:8", "Lx:4", "topology spec 'Lx:4': trap count 'x' is not an integer"),
     ("qft:8", "L4:x", "topology spec 'L4:x': capacity 'x' is not an integer"),
+    # ``int`` reads these; a spec holds ASCII digits only
+    ("qft:1_0", "L3:4", "generator spec 'qft:1_0': size '1_0' is not an integer"),
+    ("heisenberg:6:trotter_steps=+2", "L3:4",
+     "generator spec 'heisenberg:6:trotter_steps=+2': parameter trotter_steps '+2' "
+     "is not an integer"),
+    ("qft:8", "L1_0:4", "topology spec 'L1_0:4': trap count '1_0' is not an integer"),
+    ("qft:8", "L\u0663:4", "topology spec 'L\u0663:4': trap count '\u0663' is not an integer"),
+    ("qft:8", "L3: 4", "topology spec 'L3: 4': capacity ' 4' is not an integer"),
+    ("qft:8", "G2x3:+5", "topology spec 'G2x3:+5': capacity '+5' is not an integer"),
 ])
 def test_malformed_spec_names_the_part(capsys, gen, topology, message):
     assert main(["compile", "--gen", gen, "--topology", topology]) == 2

@@ -1,3 +1,8 @@
+import math
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
 from qccdc import (EventKind, MachineState, WeightParams, grid_topology, linear_topology,
@@ -105,10 +110,27 @@ def test_parse_topology_spec():
 @pytest.mark.parametrize("spec, part", [
     ("G2:4", "columns ''"), ("Gx3:4", "rows ''"), ("L:4", "trap count ''"),
     ("Lx:4", "trap count 'x'"), ("L4:x", "capacity 'x'"), ("L4:", "capacity ''"),
+    ("L1_0:4", "trap count '1_0'"), ("L\u0663:4", "trap count '\u0663'"),
+    ("L3: 4", "capacity ' 4'"), ("G2x3:+5", "capacity '+5'"), ("G2x\uff13:5", "columns '\uff13'"),
+    ("L3:4 ", "capacity '4 '"),
 ])
 def test_malformed_topology_spec_names_the_part(spec, part):
-    with pytest.raises(ValueError, match=f"topology spec '{spec}': {part} is not an integer"):
+    message = f"topology spec '{spec}': {part} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_topology_spec(spec)
+
+
+def test_benchmark_topology_specs_parse():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads
+    specs = {job.topology for jobs in workloads.CIRCUIT_WORKLOADS.values() for job in jobs}
+    assert {"L2:40", "G3x3:30", "S9:30"} <= specs
+    for spec in specs:
+        head, _, capacity = spec.partition(":")
+        traps = parse_topology_spec(spec).traps
+        assert {t.capacity for t in traps} == {int(capacity)}
+        shape = [int(n) for n in head[1:].split("x")]
+        assert len(traps) == math.prod(shape)
 
 
 def test_topology_from_json_family_form():

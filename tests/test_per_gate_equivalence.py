@@ -1,27 +1,34 @@
 """The per-gate fast paths against the code they replaced.
 
-``reference_parse_qasm`` is the parser that read every angle with ``eval``;
-``reference_run_ready_gates`` drains by full passes over the frontier to a
-fixpoint and measures ion distance by walking the slots; ``reference_dag``
-builds the DAG with a predecessor set per gate.  The program must give the
-same circuits, events and DAGs.  The parser's only intended differences are
-the two rejections ``strict_eval_param`` adds: ``**`` and non-finite angles.
+``reference_parse_qasm`` is the parser that read every angle with ``eval``
+and every operand with its own match; ``reference_run_ready_gates`` drains
+by full passes over the frontier to a fixpoint and measures ion distance by
+walking the slots; ``reference_dag`` builds the DAG with a predecessor set
+per gate; ``reference_evaluate`` times and grades events with a lookup of
+every cost parameter per event.  The program must give the same circuits,
+events, DAGs and metrics.  The parser's only intended differences are the
+rejections ``expected_outcome`` adds: ``**`` and non-finite angles, an
+OPENQASM version other than 2.0, and gates outside ``GATE_NAMES``.
 """
 
+import dataclasses
 import math
 import random
 import re
 import struct
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qccdc import (Circuit, Gate, MappingParams, QasmError, SchedulerParams, Strategy,
-                   build_dag, exact_schedule, gen_benchmark, grid_topology, initial_mapping,
-                   linear_topology, parse_qasm, random_instance, schedule, star_topology,
-                   to_graph)
+from qccdc import (Circuit, CostParams, Gate, GateFamily, MappingParams, Metrics, QasmError,
+                   SchedulerParams, Strategy, build_dag, evaluate, exact_schedule,
+                   gate_duration, gate_fidelity, gen_benchmark, grid_topology, initial_mapping,
+                   linear_topology, parse_qasm, random_instance, schedule, shuttle_duration,
+                   star_topology, to_graph)
 from qccdc import oracle, scheduler
 from qccdc.circuit import ONE_QUBIT_GATES, TWO_QUBIT_GATES
+from qccdc.costmodel import TimedEvent
 from qccdc.events import EventKind, EventRecord
 from qccdc.state import MachineState, run_ready_gates
 
@@ -149,8 +156,65 @@ def outcome(parse, text):
              for g in c.gates])
 
 
+DIRECTIVES = {"openqasm", "include", "qreg", "creg", "barrier", "measure"}
+GATE_NAMES = {"h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "u1",
+              "cx", "cz", "cp", "cu1", "rzz", "rxx", "ryy", "ms", "swap"}
+
+
+def reference_statements(text):
+    """``reference_parse_qasm``'s statements as (line, statement, offset just
+    past its ';'), or None where it finds an unterminated statement."""
+    found = []
+    line_no = offset = 0
+    buffered = ""
+    for raw in text.splitlines(keepends=True):
+        line_no += 1
+        code = raw.splitlines()[0].split("//", 1)[0]
+        buffered += code
+        while ";" in buffered:
+            stmt, buffered = buffered.split(";", 1)
+            if stmt.strip():
+                found.append((line_no, stmt.strip(), offset + len(code) - len(buffered)))
+        offset += len(raw)
+    return None if buffered.strip() else found
+
+
+def later_rejection(stmt, after_qreg):
+    """The message of a rule the parser added after the reference, or None:
+    an OPENQASM version other than 2.0, and a gate outside GATE_NAMES (u2 and
+    u3 left it), rejected before its angle and operands are read."""
+    words = stmt.split(None, 1)
+    head = words[0].split("(", 1)[0].lower()
+    if head == "openqasm":
+        version = words[1] if len(words) > 1 else ""
+        return None if version == "2.0" else f"unsupported OpenQASM version '{version}'"
+    m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^)]*)\))?\s+(.*)$", stmt)
+    if after_qreg and head not in DIRECTIVES and m and m.group(1).lower() not in GATE_NAMES:
+        return f"unsupported gate '{m.group(1).lower()}'"
+    return None
+
+
 def expected_outcome(text):
-    return outcome(lambda t: reference_parse_qasm(t, eval_param=strict_eval_param), text)
+    """The reference parser's outcome under the parser's later rules: the two
+    angle rejections of ``strict_eval_param`` and those of ``later_rejection``.
+    A statement a later rule rejects fails there, unless the statements
+    before it fail first."""
+    def strict(t):
+        return reference_parse_qasm(t, eval_param=strict_eval_param)
+
+    statements = reference_statements(text)
+    prefix_end = 0
+    after_qreg = False
+    for line_no, stmt, end in statements or ():
+        message = later_rejection(stmt, after_qreg)
+        if message is not None:
+            before = outcome(strict, text[:prefix_end])
+            if before[0] == "raised" and before[3] is not None:  # not "no qreg"
+                return before
+            return ("raised", "QasmError", f"line {line_no}: {message}", line_no)
+        after_qreg = after_qreg or stmt.split(None, 1)[0].split("(", 1)[0].lower() == "qreg"
+        prefix_end = end
+    return outcome(strict, text)
 
 
 LITERALS = ["01", "1_0", ".5", "1.", "-0.0", "1e5", "pi/2", " 0.5 ", "0", "00", "-0", "+0",
@@ -237,6 +301,80 @@ def test_parse_qasm_literals_match_reference(angle):
 def test_single_angles_match_reference(angle):
     text = f"qreg q[1];\nrz({angle}) q[0];\n"
     assert outcome(parse_qasm, text) == expected_outcome(text)
+
+
+@st.composite
+def gate_statement_texts(draw):
+    """Gate statements in and around the one-pattern form: spacing, tabs and
+    case variants, unknown and removed gates, wrong registers, indices out of
+    range, a space before '[' and 0-3 operands.  Each variant is drawn rarely
+    enough that many texts parse.  (The reference reads non-ASCII digits;
+    ``test_one_pattern_reports_the_first_fault`` covers those.)"""
+    def rarely(common, *rare):
+        return draw(st.sampled_from([common] * 12 + list(rare)))
+
+    n = draw(st.integers(1, 4))
+    gap = st.sampled_from(["", "", " ", "  ", "\t", " \t ", "\u00a0"])
+    names = {1: ["h", "H", "x", "rz", "Rz", "u1"], 2: ["cx", "CX", "Cx", "cz", "ms", "rzz",
+                                                       "RZZ", "cp", "swap", "SWAP"]}
+
+    def operand():
+        index = rarely(str(draw(st.integers(0, n - 1))), str(n), "00", "+1", "1 ")
+        return f"{rarely('q', 'r', 'Q', 'q1')}{rarely('', ' ')}[{index}]"
+
+    stmts = [f"OPENQASM {rarely('2.0', '3.0', '2')}"] + [f"qreg q[{n}]"] * rarely(1, 0, 2)
+    for _ in range(draw(st.integers(1, 4))):
+        arity = draw(st.sampled_from([1, 2]))
+        stmt = rarely(draw(st.sampled_from(names[arity])), "u2", "u3", "bogus", "measure",
+                      "barrier", "creg")
+        if draw(st.booleans()):
+            angle = rarely(draw(st.sampled_from(["0.5", " -1 ", "pi/2", "1e-3"])), "1e999",
+                           "2**3", "0.1,0.2,0.3", "01", "")
+            stmt += f"{draw(gap)}({angle})"
+        operands = [operand() for _ in range(rarely(arity, 0, 1, 2, 3))]
+        stmt += rarely(" ", "\t", "  ", "\u00a0") + f"{draw(gap)},{draw(gap)}".join(operands)
+        stmts.append(stmt)
+    if rarely(False, True):
+        stmts.insert(1, stmts[-1])  # a gate before the qreg
+    ends = st.sampled_from(["\n", " ", "\n"])
+    return "".join(f"{stmt};{draw(ends)}" for stmt in stmts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gate_statement_texts())
+def test_one_pattern_gate_statements_match_reference(text):
+    """Every error's type, message and line, and every accepted circuit, as
+    the reference parser gives them under the later rules."""
+    assert outcome(parse_qasm, text) == expected_outcome(text)
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("cx q[0], q[\u0663]", "bad qubit reference 'q[\u0663]'"),
+    ("rz(0.5) q[\uff10]", "bad qubit reference 'q[\uff10]'"),
+    ("cx q [0], q[1]", "bad qubit reference 'q [0]'"),
+    ("h q [1]", "bad qubit reference 'q [1]'"),
+    ("cx r[0], q[9]", "unknown register 'r'"),
+    ("cx q[9], r[0]", "qubit index 9 out of range (qreg size 4)"),
+    ("cx q[1], Q[9]", "unknown register 'Q'"),
+    ("rzz(1e999) r[0], q[9]", "parameter expression '1e999' is not finite"),
+    ("cx q[2] ,\tq[2]", "cx with identical qubits"),
+])
+def test_one_pattern_reports_the_first_fault(stmt, message):
+    """The angle, then each operand in order; OpenQASM 2.0 integers are
+    ASCII, and no space goes before '['."""
+    text = f"OPENQASM 2.0;\nqreg q[4];\n{stmt};\n"
+    assert outcome(parse_qasm, text) == ("raised", "QasmError", f"line 3: {message}", 3)
+    if stmt.isascii():
+        assert outcome(parse_qasm, text) == expected_outcome(text)
+
+
+@pytest.mark.parametrize("stmt", ["u3(0.1,0.2,0.3) q[0]", "u3(0.1) q[0]", "u2(0.1,0.2) q[0]",
+                                  "u2(0.1) q[0]", "U3 q[9]"])
+def test_removed_gates_are_unsupported_in_every_form(stmt):
+    text = f"OPENQASM 2.0;\nqreg q[1];\n{stmt};\n"
+    name = stmt[:2].lower()
+    expected = ("raised", "QasmError", f"line 3: unsupported gate '{name}'", 3)
+    assert outcome(parse_qasm, text) == expected_outcome(text) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +542,180 @@ def test_ion_distance_equals_slot_walk(seed, family, capacity):
             for qb in state.mapping:
                 if qa != qb and state.co_trapped(qa, qb):
                     assert state.ion_distance(qa, qb) == reference_ion_distance(state, qa, qb)
+
+
+# ---------------------------------------------------------------------------
+# the event record's contract
+# ---------------------------------------------------------------------------
+
+def test_event_record_contract():
+    """Field names, order and defaults, field-wise equality, ``replace`` and
+    ``repr`` are those of the frozen record it replaced: ``replay`` compares
+    events with ``!=``, and ``benchmarks/checker.digest`` reads attributes."""
+    fields = [(f.name, f.default) for f in dataclasses.fields(EventRecord)]
+    assert fields == [("kind", dataclasses.MISSING), ("qubits", ()), ("gate_id", None),
+                      ("label", ""), ("slots", ()), ("traps", ()), ("segments", 0),
+                      ("junction_ids", ()), ("junction_degrees", ()), ("weight", 0.0),
+                      ("chain_ions", 0), ("ion_dist", 0)]
+    ev = EventRecord(EventKind.GATE, qubits=(0, 1), gate_id=3, label="cx", slots=(4, 6),
+                     traps=(1,), chain_ions=5, ion_dist=1)
+    same = EventRecord(EventKind.GATE, (0, 1), 3, "cx", (4, 6), (1,), 0, (), (), 0.0, 5, 1)
+    assert ev == same and not ev != same
+    for name, _ in fields:
+        changed = dataclasses.replace(ev, **{name: EventKind.SWAP if name == "kind" else -1})
+        assert changed != ev and getattr(changed, name) != getattr(ev, name)
+        assert all(getattr(changed, other) == getattr(ev, other)
+                   for other, _ in fields if other != name)
+    assert repr(ev) == (
+        "EventRecord(kind=<EventKind.GATE: 'gate'>, qubits=(0, 1), gate_id=3, label='cx', "
+        "slots=(4, 6), traps=(1,), segments=0, junction_ids=(), junction_degrees=(), "
+        "weight=0.0, chain_ions=5, ion_dist=1)")
+    assert ev.is_two_qubit_gate and not dataclasses.replace(ev, qubits=(0,)).is_two_qubit_gate
+
+
+# ---------------------------------------------------------------------------
+# reference evaluate: every parameter looked up per event
+# ---------------------------------------------------------------------------
+
+def reference_evaluate(sched, params=None, *, relax_swap=False, relax_shuttle=False):
+    params = params or CostParams()
+    ready = {}
+    nbar = {t.id: 0.0 for t in sched.graph.topology.traps}
+    success = 1.0
+    makespan = 0.0
+    timeline = []
+
+    for ev in sched.events:
+        fidelity = None
+        if ev.kind is EventKind.GATE:
+            if len(ev.qubits) == 2:
+                dur = gate_duration(params.gate_family, ev.chain_ions, ev.ion_dist)
+                fidelity = gate_fidelity(dur, ev.chain_ions, nbar[ev.traps[0]], params)
+            else:
+                dur = params.single_qubit_duration
+                fidelity = params.single_qubit_fidelity
+        elif ev.kind is EventKind.SWAP:
+            if relax_swap:
+                dur = 0.0
+            else:
+                one = gate_duration(params.gate_family, ev.chain_ions, ev.ion_dist)
+                dur = params.swap_gate_multiplier * one
+                fidelity = gate_fidelity(one, ev.chain_ions, nbar[ev.traps[0]],
+                                         params) ** params.swap_gate_multiplier
+        elif ev.kind is EventKind.SHIFT:
+            dur = 0.0 if relax_swap else params.space_shift_us
+        elif ev.kind is EventKind.SHUTTLE:
+            if relax_shuttle:
+                dur = 0.0
+            else:
+                dur = shuttle_duration(ev.segments, ev.junction_degrees, params)
+                nbar[ev.traps[1]] += params.k1 + params.k2 * ev.segments
+        else:
+            raise ValueError(f"unknown event kind {ev.kind}")
+
+        resources = list(ev.traps) + [("junction", j) for j in ev.junction_ids]
+        start = max((ready.get(r, 0.0) for r in resources), default=0.0)
+        end = start + dur
+        for r in resources:
+            ready[r] = end
+        makespan = max(makespan, end)
+        if fidelity is not None:
+            success *= fidelity
+        timeline.append(TimedEvent(ev, start, dur, fidelity))
+
+    return Metrics(makespan_us=makespan, success_rate=success, timeline=timeline,
+                   nbar=nbar, **sched.metrics)
+
+
+def evaluate_outcome(fn, sched, params, **relax):
+    """Metrics, or the error, with every warning raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            m = fn(sched, params, **relax)
+            result = (m.makespan_us, m.success_rate, m.nbar, m.timeline, m.to_dict())
+        except ValueError as exc:
+            result = ("raised", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+COST_VARIANTS = [
+    {},
+    {"gamma": 1234.5, "k1": 0.317, "k2": 0.0713, "a0": 2.9e-4, "single_qubit_fidelity": 0.9995,
+     "single_qubit_duration": 7.3, "move_us": 3.1, "junction_per_path_us": 11.7},
+    {"gamma": 0.0, "k1": 0.0, "k2": 0.0, "a0": 0.0, "space_shift_us": 0.0},
+]
+
+
+def evaluate_cases():
+    """Schedules with gates, SWAPs, shifts and shuttles, junction-free and
+    through junctions."""
+    rng = random.Random(314)
+    params = SchedulerParams(iteration_cap_per_gate=500)
+    for _ in range(30):
+        c, g, m = random_instance(rng, max_traps=4, max_capacity=5, max_gates=8)
+        yield schedule(c, g, m, params)
+    for topo in (linear_topology(3, 6), grid_topology(2, 2, 5), star_topology(4, 5)):
+        graph = to_graph(topo)
+        for gen, size, kw in (("qft", 10, {}), ("heisenberg", 9, {"trotter_steps": 2})):
+            circuit = gen_benchmark(gen, size, **kw)
+            yield schedule(circuit, graph, initial_mapping(circuit, graph, MappingParams()))
+    yield junction_contention()
+
+
+def junction_contention():
+    """Two shuttles between disjoint trap pairs through the one junction of
+    a star: the junction alone orders them."""
+    graph = to_graph(star_topology(4, 3))
+
+    def shuttle(u, v):
+        e = graph.edge(u, v)
+        return EventRecord(EventKind.SHUTTLE, qubits=(0,), slots=(u, v),
+                           traps=(graph.node_trap[u], graph.node_trap[v]),
+                           segments=e.segments, junction_ids=e.junctions,
+                           junction_degrees=(4,) * len(e.junctions), weight=e.weight,
+                           chain_ions=1)
+
+    gate = EventRecord(EventKind.GATE, qubits=(0, 1), gate_id=0, label="cx", slots=(3, 4),
+                       traps=(1,), chain_ions=2)
+    events = [shuttle(2, 3), shuttle(8, 9), gate, dataclasses.replace(gate, traps=(3,))]
+    return scheduler.Schedule(events, Circuit(2, ()), graph, {0: 2, 1: 4})
+
+
+def test_evaluate_is_bit_identical_to_reference():
+    cases = list(evaluate_cases())
+    kinds = {ev.kind for s in cases for ev in s.events}
+    assert kinds == set(EventKind)
+    assert any(ev.junction_ids for s in cases for ev in s.events)
+    contention = reference_evaluate(cases[-1]).timeline
+    assert contention[1].start_us == contention[0].start_us + contention[0].duration_us > 0
+    am1_warned = 0
+    for sched in cases:
+        for family in GateFamily:
+            for variant in COST_VARIANTS:
+                for multiplier in range(4):
+                    params = CostParams(gate_family=family, swap_gate_multiplier=multiplier,
+                                        **variant)
+                    for relax_swap in (False, True):
+                        for relax_shuttle in (False, True):
+                            relax = {"relax_swap": relax_swap, "relax_shuttle": relax_shuttle}
+                            got = evaluate_outcome(evaluate, sched, params, **relax)
+                            assert got == evaluate_outcome(reference_evaluate, sched, params,
+                                                           **relax)
+                            am1_warned += bool(got[1])
+    assert am1_warned  # AM1 at d=0 warns once per such event, as before
+
+
+@pytest.mark.parametrize("field, value", [("chain_ions", 1), ("chain_ions", 0),
+                                          ("ion_dist", -1)])
+@pytest.mark.parametrize("family", list(GateFamily))
+def test_evaluate_raises_as_reference_on_malformed_gate_events(field, value, family):
+    sched = next(evaluate_cases())
+    i = next(i for i, ev in enumerate(sched.events) if ev.is_two_qubit_gate)
+    events = list(sched.events)
+    events[i] = dataclasses.replace(events[i], **{field: value})
+    bad = dataclasses.replace(sched, events=events)
+    params = CostParams(gate_family=family)
+    got = evaluate_outcome(evaluate, bad, params)
+    assert got[0][0] == "raised"
+    assert got == evaluate_outcome(reference_evaluate, bad, params)

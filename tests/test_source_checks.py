@@ -10,12 +10,20 @@ Every function, method and class of the package must be referred to
 somewhere in the program (the package, the benchmarks, the demos and the
 tools) outside its own definition and the package's ``__init__`` exports.
 ``check_consistency``, which only the tests call, is the one exception.
+
+``EventRecord`` is a slotted dataclass, not a frozen one, so the type no
+longer stops a caller from changing an event after ``replay`` checked it or
+a digest was taken.  No code of the program assigns or deletes an attribute
+named like an event field (outside a class's own ``self``), by statement or
+by ``setattr``; changed events are derived with ``dataclasses.replace``.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import qccdc
+from qccdc.events import EventRecord
 
 SRC = Path(qccdc.__file__).parent
 REPO = Path(__file__).resolve().parent.parent
@@ -120,3 +128,50 @@ def test_the_caller_check_sees_what_it_forbids(tmp_path):
         "        pass\n")
     (tools / "run.py").write_text("import pkg\npkg.used()\n")
     assert unreferenced([pkg, tools], pkg) == ["mod.py:4: dead", "mod.py:6: loops"]
+
+
+EVENT_FIELDS = frozenset(f.name for f in dataclasses.fields(EventRecord))
+
+
+def event_field_writes(path):
+    """``file:line: code`` of each attribute write or delete in ``path`` that
+    names an ``EventRecord`` field on anything but ``self``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and node.attr in EVENT_FIELDS
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            attr = node.args[1]
+            if (name in ("setattr", "delattr", "__setattr__", "__delattr__")
+                    and isinstance(attr, ast.Constant) and attr.value in EVENT_FIELDS):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_code_changes_an_event_after_it_is_built():
+    paths = [p for d in PROGRAM for p in sorted(d.rglob("*.py"))]
+    assert paths
+    assert [o for p in paths for o in event_field_writes(p)] == []
+
+
+def test_the_event_write_check_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("class Ok:\n"
+                   "    def __init__(self):\n"
+                   "        self.traps = ()\n"
+                   "def f(ev, mod, fn):\n"
+                   "    ev.traps = (1,)\n"
+                   "    del ev.label\n"
+                   "    ev.segments += 1\n"
+                   "    setattr(ev, 'kind', None)\n"
+                   "    object.__setattr__(ev, 'weight', 1.0)\n"
+                   "    setattr(mod, 'evaluate', fn)\n")
+    assert event_field_writes(bad) == [
+        "bad.py:5: ev.traps", "bad.py:6: ev.label", "bad.py:7: ev.segments",
+        "bad.py:8: setattr(ev, 'kind', None)",
+        "bad.py:9: object.__setattr__(ev, 'weight', 1.0)"]
