@@ -73,56 +73,58 @@ class Circuit:
 class DepGraph:
     """Dependency DAG of a circuit with an executable frontier.
 
-    An edge (g_i, g_j) means g_i is the most recent earlier gate sharing a
-    qubit with g_j.  ``pop`` removes an executed frontier gate and promotes
-    any successor whose in-degree drops to zero; it returns those.
+    ``on_qubit[q]`` lists the ids of the gates on qubit q in circuit order; it
+    is the only record of program order, and the DAG's edges join neighbours
+    in these lists.  A gate is ready, and in ``frontier``, when it is next on
+    every qubit it acts on.  ``pop`` removes an executed frontier gate,
+    advances its qubits' cursors and returns the gates that became ready.
     """
 
     def __init__(self, circuit: Circuit):
-        n = len(circuit.gates)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        in_degree = [0] * n
-        last_on_qubit = [-1] * circuit.n_qubits
-        # a gate's predecessors are the last gates on its qubits: at most two,
-        # and one when both qubits last met in the same gate
+        on_qubit: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
         for g in circuit.gates:
-            gid = g.id
-            prev = -1
             for q in g.qubits:
-                p = last_on_qubit[q]
-                if p >= 0 and p != prev:
-                    succ[p].append(gid)
-                    in_degree[gid] += 1
-                last_on_qubit[q] = gid
-                prev = p
-        self.succ = succ
-        self.in_degree = in_degree
+                on_qubit[q].append(g.id)
+        self.on_qubit = on_qubit
         self.gates = circuit.gates
-        self.frontier: set[int] = {gid for gid in range(n) if in_degree[gid] == 0}
-        self._remaining = n
+        # cursor[q] indexes the next gate on qubit q in on_qubit[q]
+        self.cursor = [0] * circuit.n_qubits
+        self.frontier: set[int] = {
+            seq[0] for seq in on_qubit
+            if seq and all(on_qubit[q][0] == seq[0] for q in self.gates[seq[0]].qubits)}
+        self._remaining = len(circuit.gates)
 
     def __len__(self):
         return self._remaining
 
     def pop(self, gate_id: int) -> list[int]:
-        """Remove an executed frontier gate; returns the successors it
-        promoted to the frontier, in ascending id."""
+        """Remove an executed frontier gate; returns the gates it made
+        ready, in ascending id."""
         if gate_id not in self.frontier:
             raise ValueError(f"gate {gate_id} is not in the frontier")
         self.frontier.remove(gate_id)
         self._remaining -= 1
+        on_qubit, cursor, gates = self.on_qubit, self.cursor, self.gates
         promoted = []
-        in_degree = self.in_degree
-        for s in self.succ[gate_id]:
-            in_degree[s] -= 1
-            if in_degree[s] == 0:
-                promoted.append(s)
+        for q in gates[gate_id].qubits:
+            seq = on_qubit[q]
+            i = cursor[q] = cursor[q] + 1
+            if i < len(seq):
+                # when both qubits of the next gate follow this one, only the
+                # second advance finds it next on both
+                nxt = seq[i]
+                for p in gates[nxt].qubits:
+                    if on_qubit[p][cursor[p]] != nxt:
+                        break
+                else:
+                    promoted.append(nxt)
+        promoted.sort()
         self.frontier.update(promoted)
         return promoted
 
 
 def build_dag(circuit: Circuit) -> DepGraph:
-    """Build the dependency DAG by per-qubit last-writer chaining (linear time)."""
+    """Build the dependency DAG from each qubit's gate sequence (linear time)."""
     return DepGraph(circuit)
 
 

@@ -185,9 +185,6 @@ def _sweep_job(payload):
 
 
 def cmd_sweep(args) -> int:
-    if args.axis not in SWEEP_AXES:
-        print(f"error: unknown sweep axis '{args.axis}'", file=sys.stderr)
-        return 2
     jobs = [(args, args.axis, v) for v in args.values.split(",")]
     workers = int(os.environ.get("QCCD_SYNC_THREADS", "0")) or None
     if workers == 1 or len(jobs) == 1:

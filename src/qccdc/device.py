@@ -102,9 +102,6 @@ class Topology:
         return Topology(tuple(Trap(t.id, capacity) for t in self.traps), self.paths,
                         self.junctions)
 
-    def trap(self, trap_id: int) -> Trap:
-        return self.traps[trap_id]
-
     def junction(self, jid: int) -> Junction:
         for j in self.junctions:
             if j.id == jid:
@@ -328,7 +325,7 @@ def parse_topology_spec(spec: str, default_capacity: int | None = None) -> Topol
     capacity = spec_int(where, "capacity", cap_s) if colon else default_capacity
     if capacity is None:
         raise ValueError(f"{where} needs a capacity")
-    fam, rest = head[:1].upper(), head[1:].lstrip("-")
+    fam, rest = head[:1].upper(), head[1:]
     if fam == "G":
         rows_s, _, cols_s = rest.partition("x")
         return grid_topology(spec_int(where, "rows", rows_s), spec_int(where, "columns", cols_s),

@@ -39,11 +39,21 @@ class MappingParams:
 
 def dag_layers(circuit: Circuit) -> list[int]:
     """As-soon-as-possible depth of every gate in the dependency DAG."""
-    dag = build_dag(circuit)
+    on_qubit = build_dag(circuit).on_qubit
     layer = [0] * len(circuit.gates)
+    # before[q] counts the gates on qubit q already seen, so g's predecessor
+    # on q is on_qubit[q][before[q] - 1]
+    before = [0] * circuit.n_qubits
     for g in circuit.gates:  # gate ids are a topological order by construction
-        for s in dag.succ[g.id]:
-            layer[s] = max(layer[s], layer[g.id] + 1)
+        depth = 0
+        for q in g.qubits:
+            i = before[q]
+            if i:
+                d = layer[on_qubit[q][i - 1]] + 1
+                if d > depth:
+                    depth = d
+            before[q] = i + 1
+        layer[g.id] = depth
     return layer
 
 

@@ -74,15 +74,13 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
     if len(two_q) > limits.max_gates:
         raise ValueError(f"{len(two_q)} two-qubit gates exceed the oracle limit")
 
-    succ = build_dag(circuit).succ
+    on_qubit = build_dag(circuit).on_qubit
     preds: list[set[int]] = [set() for _ in gates]
-    for gid, later in enumerate(succ):
-        for s in later:
-            preds[s].add(gid)
-    on_qubit: dict[int, list[int]] = {}
-    for g in gates:
-        for q in g.qubits:
-            on_qubit.setdefault(q, []).append(g.id)
+    succ: list[set[int]] = [set() for _ in gates]
+    for seq in on_qubit:
+        for p, s in zip(seq, seq[1:]):
+            preds[s].add(p)
+            succ[p].add(s)
     all_gates = frozenset(g.id for g in gates)
     pairs = [g.qubits if g.is_two_qubit else None for g in gates]
 
@@ -143,7 +141,7 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
                 # only a shuttle changes a qubit's trap: gates on the moved
                 # qubit may now run, and the bound may change
                 moved = slots[u] if slots[u] is not None else slots[v]
-                pending = [gid for gid in on_qubit.get(moved, ()) if gid not in executed]
+                pending = [gid for gid in on_qubit[moved] if gid not in executed]
                 new_exec, new_h = close(new_slots, executed, pending) if pending \
                     else (executed, h)
                 new_cost = (weight + w, shuttles + 1, swaps)

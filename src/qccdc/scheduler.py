@@ -79,11 +79,14 @@ from .state import MachineState, run_ready_gates
 # even at 80-111 pairs, where one scan costs about 60 us either way.
 VECTOR_MIN_PAIRS = 96
 
+# a gate whose qubit a generic swap moved within this many iterations has its
+# score scaled by 1 + delta (SABRE's decay)
+DECAY_RESET_WINDOW = 5
+
 
 @dataclass(frozen=True)
 class SchedulerParams:
     delta: float = 0.001
-    decay_reset_window: int = 5
     m: int = 2                      # max intermediate path nodes
     iteration_cap_per_gate: int = 10000
 
@@ -347,23 +350,13 @@ class _EscapePlanner:
         while t is not None:
             path.append(t)
             t = prev[t]
-        # path runs goal -> ... -> trap; move one end qubit per hop outward
+        # path runs goal -> ... -> trap; move one end qubit per hop outward.
+        # Each giving trap is still full, and the two protected qubits (the
+        # gate's, never in one trap) guard at most one of its ends
         for recv, give in zip(path, path[1:]):
             dst = self._dest_end(recv)
             slots = self.graph.trap_slots[give]
-            pick = None
-            slot_qubit = self.state.slot_qubit
-            for e in (0, len(slots) - 1):
-                q = slot_qubit[slots[e]]
-                if q is not None and q not in protected:
-                    pick = e
-                    break
-            if pick is None:
-                # a protected qubit sits at each usable end: tuck one inward
-                self._move(slots[0], slots[1])
-                pick = 0 if slot_qubit[slots[0]] is not None else None
-                if pick is None or slot_qubit[slots[0]] in protected:
-                    pick = len(slots) - 1
+            pick = 0 if self.state.slot_qubit[slots[0]] not in protected else len(slots) - 1
             self._move(slots[pick], self.graph.trap_slots[recv][dst])
 
     def route(self, mover: int, stay: int) -> list[tuple[int, int]]:
@@ -460,10 +453,8 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
             dist[s] = row
         unfilled.difference_update(traps)
 
-    # the iteration of the last generic swap that moved each qubit; a qubit
-    # moved within the last ``window`` iterations decays its gates' scores
-    window = params.decay_reset_window
-    last_moved = [-window - 1] * circuit.n_qubits
+    # the iteration of the last generic swap that moved each qubit
+    last_moved = [-DECAY_RESET_WINDOW - 1] * circuit.n_qubits
     remaining_uses = [0] * circuit.n_qubits
     for g in circuit.gates:
         if g.is_two_qubit:
@@ -506,7 +497,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         for gid in sorted(dag.frontier):
             g = dag.gates[gid]
             q1, q2 = g.qubits
-            recent = iteration - max(last_moved[q1], last_moved[q2]) <= window
+            recent = iteration - max(last_moved[q1], last_moved[q2]) <= DECAY_RESET_WINDOW
             frontier_gates.append((q1, q2, 1.0 + params.delta if recent else 1.0))
 
         pen_now = state.traps_without_space

@@ -17,6 +17,7 @@ without ``MachineState`` at all.
 
 from __future__ import annotations
 
+from .circuit import build_dag
 from .events import EventKind
 from .scheduler import Schedule
 from .state import MachineState
@@ -33,12 +34,10 @@ def replay(sched: Schedule) -> list[str]:
     circuit = sched.circuit
     state = MachineState(graph, sched.initial_mapping)
 
-    # per-qubit program order: gates touching a qubit must run in circuit order
-    per_qubit: dict[int, list[int]] = {q: [] for q in range(circuit.n_qubits)}
-    for g in circuit.gates:
-        for q in g.qubits:
-            per_qubit[q].append(g.id)
-    cursor = {q: 0 for q in per_qubit}
+    # gates touching a qubit must run in circuit order: cursor[q] indexes the
+    # next gate due on qubit q
+    on_qubit = build_dag(circuit).on_qubit
+    cursor = [0] * circuit.n_qubits
 
     executed: set[int] = set()
 
@@ -54,8 +53,8 @@ def replay(sched: Schedule) -> list[str]:
                 violations.append(f"{where}: gate {gid} executed twice")
             executed.add(gid)
             for q in gate.qubits:
-                lst = per_qubit[q]
-                if cursor[q] >= len(lst) or lst[cursor[q]] != gid:
+                seq = on_qubit[q]
+                if cursor[q] >= len(seq) or seq[cursor[q]] != gid:
                     violations.append(
                         f"{where}: gate {gid} out of program order on qubit {q}")
                 else:

@@ -77,6 +77,16 @@ def test_dag_frontier_and_pop():
     assert len(dag) == 0
 
 
+@pytest.mark.parametrize("second", [(0, 1), (1, 0)])
+def test_dag_promotes_a_gate_both_qubits_lead_to_once(second):
+    c = Circuit(2, (Gate(0, "cx", (0, 1)), Gate(1, "cx", second)))
+    dag = build_dag(c)
+    assert dag.on_qubit == [[0, 1], [0, 1]] and dag.frontier == {0}
+    assert dag.pop(0) == [1]
+    assert dag.frontier == {1}
+    assert dag.pop(1) == [] and len(dag) == 0
+
+
 def test_dag_pop_requires_frontier_membership():
     c = Circuit(2, (Gate(0, "cx", (0, 1)), Gate(1, "cx", (0, 1))))
     dag = build_dag(c)

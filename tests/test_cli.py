@@ -104,6 +104,8 @@ def test_unknown_generator_parameter_exit_code(capsys):
     ("qft:8", "L\u0663:4", "topology spec 'L\u0663:4': trap count '\u0663' is not an integer"),
     ("qft:8", "L3: 4", "topology spec 'L3: 4': capacity ' 4' is not an integer"),
     ("qft:8", "G2x3:+5", "topology spec 'G2x3:+5': capacity '+5' is not an integer"),
+    ("qft:8", "L-4:3", "topology spec 'L-4:3': trap count '-4' is not an integer"),
+    ("qft:8", "L--4:3", "topology spec 'L--4:3': trap count '--4' is not an integer"),
 ])
 def test_malformed_spec_names_the_part(capsys, gen, topology, message):
     assert main(["compile", "--gen", gen, "--topology", topology]) == 2
@@ -221,6 +223,28 @@ def test_sweep_mapping_axis_records_failures(tmp_path, monkeypatch):
     rows = list(csv.DictReader(out.open()))
     assert rows[0]["status"].startswith("failed")
     assert rc == 1 or any(r["status"] == "ok" for r in rows)
+
+
+def test_sweep_rejects_an_unknown_axis(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--gen", "qft:4", "--topology", "L2:3", "--axis", "seed",
+              "--values", "1"])
+    assert err.value.code == 2 and "invalid choice: 'seed'" in capsys.readouterr().err
+
+
+def test_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
+    """Two worker processes give the rows one process gives, in value order."""
+    rows = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QCCD_SYNC_THREADS", threads)
+        out = tmp_path / f"sweep{threads}.csv"
+        assert main(["sweep", "--gen", "qft:8", "--topology", "L2:6", "--axis", "delta",
+                     "--values", "0.001,0.5", "--out", str(out)]) == 0
+        rows[threads] = [{k: v for k, v in r.items() if k != "compile_ms"}
+                         for r in csv.DictReader(out.open())]
+    assert [r["value"] for r in rows["2"]] == ["0.001", "0.5"]
+    assert all(r["status"] == "ok" for r in rows["2"])
+    assert rows["2"] == rows["1"]
 
 
 def test_sweep_bad_value_fails_one_row(tmp_path, monkeypatch):

@@ -112,7 +112,7 @@ def test_parse_topology_spec():
     ("Lx:4", "trap count 'x'"), ("L4:x", "capacity 'x'"), ("L4:", "capacity ''"),
     ("L1_0:4", "trap count '1_0'"), ("L\u0663:4", "trap count '\u0663'"),
     ("L3: 4", "capacity ' 4'"), ("G2x3:+5", "capacity '+5'"), ("G2x\uff13:5", "columns '\uff13'"),
-    ("L3:4 ", "capacity '4 '"),
+    ("L3:4 ", "capacity '4 '"), ("L-4:3", "trap count '-4'"), ("L--4:3", "trap count '--4'"),
 ])
 def test_malformed_topology_spec_names_the_part(spec, part):
     message = f"topology spec '{spec}': {part} is not an integer"

@@ -7,7 +7,6 @@ from qccdc import (BoundMode, Circuit, Gate, Infeasible, OracleLimits,
                    WeightParams, evaluate, exact_schedule, ideal_bounds,
                    linear_topology, random_instance, replay, schedule,
                    to_graph)
-from qccdc.circuit import build_dag
 from qccdc.device import EDGE_KINDS
 from qccdc.events import EventKind
 from qccdc.state import MachineState
@@ -20,11 +19,11 @@ def reference_exact(circuit, graph, mapping, limits=None):
     optimum must equal.  Returns the optimal (weight, shuttles, swaps), or
     Infeasible."""
     limits = limits or OracleLimits()
-    dag = build_dag(circuit)
-    preds = [set() for _ in circuit.gates]
+    # a gate's predecessors: the last earlier gate on each of its qubits
+    preds, last = [], {}
     for g in circuit.gates:
-        for s in dag.succ[g.id]:
-            preds[s].add(g.id)
+        preds.append({last[q] for q in g.qubits if q in last})
+        last.update((q, g.id) for q in g.qubits)
     all_gates = frozenset(g.id for g in circuit.gates)
     node_trap = graph.node_trap
     edge_class = graph.edge_class.tolist()

@@ -3,8 +3,8 @@
 ``reference_parse_qasm`` is the parser that read every angle with ``eval``
 and every operand with its own match; ``reference_run_ready_gates`` drains
 by full passes over the frontier to a fixpoint and measures ion distance by
-walking the slots; ``reference_dag`` builds the DAG with a predecessor set
-per gate; ``reference_evaluate`` times and grades events with a lookup of
+walking the slots; ``ReferenceDag`` keeps the frontier with a predecessor
+set per gate; ``reference_evaluate`` times and grades events with a lookup of
 every cost parameter per event.  The program must give the same circuits,
 events, DAGs and metrics.  The parser's only intended differences are the
 rejections ``expected_outcome`` adds: ``**`` and non-finite angles, an
@@ -381,21 +381,26 @@ def test_removed_gates_are_unsupported_in_every_form(stmt):
 # reference DAG and drain
 # ---------------------------------------------------------------------------
 
-def reference_dag(circuit):
-    """(succ, in_degree) with a predecessor set and a sort per gate."""
-    succ = [[] for _ in circuit.gates]
-    in_degree = [0] * len(circuit.gates)
-    last_on_qubit = {}
-    for g in circuit.gates:
-        preds = set()
-        for q in g.qubits:
-            if q in last_on_qubit:
-                preds.add(last_on_qubit[q])
-            last_on_qubit[q] = g.id
-        for p in sorted(preds):
-            succ[p].append(g.id)
-            in_degree[g.id] += 1
-    return succ, in_degree
+class ReferenceDag:
+    """A frontier kept from a predecessor set per gate, the last earlier gate
+    on each of its qubits: a gate joins it once every predecessor has run."""
+
+    def __init__(self, circuit):
+        self.preds, last = [], {}
+        for g in circuit.gates:
+            self.preds.append({last[q] for q in g.qubits if q in last})
+            last.update((q, g.id) for q in g.qubits)
+        self.done = set()
+        self.frontier = {gid for gid, p in enumerate(self.preds) if not p}
+
+    def pop(self, gid):
+        assert gid in self.frontier
+        self.frontier.remove(gid)
+        self.done.add(gid)
+        promoted = sorted(s for s, p in enumerate(self.preds)
+                          if s not in self.done | self.frontier and p <= self.done)
+        self.frontier.update(promoted)
+        return promoted
 
 
 def reference_ion_distance(state, qa, qb):
@@ -442,16 +447,18 @@ def gate_lists(draw):
     return Circuit(n, tuple(gates))
 
 
-@given(gate_lists())
-def test_dag_matches_reference(c):
-    dag = build_dag(c)
-    assert (dag.succ, dag.in_degree) == reference_dag(c)
-    # pop reports exactly the gates that join the frontier
+@given(gate_lists(), st.randoms(use_true_random=False))
+def test_dag_matches_reference(c, rng):
+    """The same pops, in a random order the frontier allows, give the same
+    promoted gates and frontiers."""
+    dag, ref = build_dag(c), ReferenceDag(c)
+    assert dag.on_qubit == [[g.id for g in c.gates if q in g.qubits] for q in range(c.n_qubits)]
+    assert dag.frontier == ref.frontier
     while len(dag):
-        before = set(dag.frontier)
-        gid = min(before)
-        promoted = dag.pop(gid)
-        assert promoted == sorted(dag.frontier - (before - {gid}))
+        gid = rng.choice(sorted(dag.frontier))
+        assert dag.pop(gid) == ref.pop(gid)
+        assert dag.frontier == ref.frontier
+    assert not ref.frontier and len(ref.done) == len(c.gates)
 
 
 def with_reference_drain(monkeypatch):

@@ -190,13 +190,12 @@ def test_monotone_progress_event_stream():
 
 def test_gate_order_topological():
     s, c, *_ = compile_qft()
-    seen = set()
-    import qccdc.circuit as cc
-    dag = cc.build_dag(c)
-    preds = [set() for _ in c.gates]
+    # a gate's predecessors: the last earlier gate on each of its qubits
+    preds, last = [], {}
     for g in c.gates:
-        for succ in dag.succ[g.id]:
-            preds[succ].add(g.id)
+        preds.append({last[q] for q in g.qubits if q in last})
+        last.update((q, g.id) for q in g.qubits)
+    seen = set()
     for e in s.events:
         if e.kind is EventKind.GATE:
             assert preds[e.gate_id] <= seen

@@ -30,9 +30,12 @@ def test_tracer_counts_the_scheduler_hooks_and_restores_them():
     finally:
         tracer.uninstall()
     totals, counts = out["totals"], out["counts"]
-    for name in ("to_graph", "initial_mapping", "schedule", "distance_table", "candidates",
-                 "plan_escape", "evaluate"):
+    for name in ("to_graph", "initial_mapping", "schedule", "build_dag", "distance_table",
+                 "candidates", "plan_escape", "evaluate"):
         assert totals[name][0] > 0, name
+    # one DAG for initial_mapping's layers and one for schedule: a build that
+    # stopped going through the wrapped attributes would drop out of the count
+    assert totals["build_dag"][0] == 2
     assert counts["planned_ops"] > 0 and counts["apply_generic_swap"] > 0
     after = {(o, a): v for o in owners for a, v in vars(o).items() if callable(v)}
     assert after.keys() == before.keys()
