@@ -71,7 +71,7 @@ def _build_params(args):
     weights = WeightParams(inner_weight=args.inner_weight,
                            shuttle_base=args.shuttle_weight,
                            threshold=args.threshold)
-    sched_p = SchedulerParams(delta=args.delta, m=args.m)
+    sched_p = SchedulerParams(delta=args.delta)
     map_p = MappingParams(alpha=args.alpha, beta=args.beta,
                           lookahead_k=args.lookahead,
                           strategy=Strategy(args.mapping))
@@ -179,7 +179,7 @@ def _sweep_job(payload):
     row = {"axis": axis, "value": value, "topology": label,
            "mapping": args.mapping, "gates": args.gates, "delta": args.delta,
            "inner_weight": args.inner_weight, "shuttle_weight": args.shuttle_weight,
-           "m": args.m, "a0": args.a0, "circuit": args.gen or args.circuit}
+           "a0": args.a0, "circuit": args.gen or args.circuit}
     row.update(result)
     return row
 
@@ -194,7 +194,7 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_job, jobs))  # order-deterministic
 
     fields = ["axis", "value", "status", "circuit", "topology", "mapping", "gates",
-              "delta", "inner_weight", "shuttle_weight", "m", "a0",
+              "delta", "inner_weight", "shuttle_weight", "a0",
               "shuttles", "swap_gates", "space_shifts", "two_qubit_gates",
               "one_qubit_gates", "makespan_us", "success_rate", "compile_ms"]
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -275,7 +275,6 @@ def _add_compile_flags(p):
     p.add_argument("--inner-weight", type=float, default=0.001)
     p.add_argument("--shuttle-weight", type=float, default=1.0)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--m", type=int, default=2)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--lookahead", type=int, default=8)

@@ -7,7 +7,8 @@ and the end slots of path-connected traps get shuttle edges
 (weight = w * (junctions + 1)).  All intra weights sit below the threshold,
 all shuttle weights above it, so a single weight comparison separates
 "inside one trap" from "between traps".  Of several paths joining the same
-two traps only the cheapest becomes edges, so each slot pair has one edge.
+two traps only the cheapest becomes edges, so each slot pair has one edge,
+and ``trap_dist`` holds the cheapest route cost between every two traps.
 An edge's class and its occupied endpoints decide its generic swap: the
 ``EventKind`` in ``EDGE_KINDS``, or None where it allows none.
 """
@@ -190,14 +191,23 @@ class DeviceGraph:
             if old is None or _path_cost(path) < _path_cost(old):
                 self.trap_paths[key] = path
         # per trap, its (neighbour, junctions + 1) pairs over those paths,
-        # sorted: the trap-level graph of the escape planner and the oracle
+        # sorted: the trap-level graph of the escape planner and the oracle;
+        # ``trap_dist`` is its cheapest route cost between every two traps,
+        # by Floyd-Warshall over whole numbers, so exact
+        n_traps = len(topology.traps)
         self.trap_adj: dict[int, list[tuple[int, float]]] = {t.id: [] for t in topology.traps}
+        self.trap_dist = np.full((n_traps, n_traps), np.inf)
+        np.fill_diagonal(self.trap_dist, 0.0)
         for (a, b), path in self.trap_paths.items():
             w = float(len(path.junctions) + 1)  # relative cost only; scale-free
             self.trap_adj[a].append((b, w))
             self.trap_adj[b].append((a, w))
+            self.trap_dist[a, b] = self.trap_dist[b, a] = w
         for adj in self.trap_adj.values():
             adj.sort()
+        for k in range(n_traps):
+            np.minimum(self.trap_dist, self.trap_dist[:, k:k + 1] + self.trap_dist[k],
+                       out=self.trap_dist)
 
         self.edges: list[Edge] = []
         for trap in topology.traps:

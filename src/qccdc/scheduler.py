@@ -6,7 +6,7 @@ generic swap (SWAP gate, space shift, shuttle) and apply the cheapest one.
 What an edge allows, where qubits sit and what a move does all come from
 ``MachineState``; this module only decides which move to make.
 
-A swap's score is the best frontier gate's truncated path distance plus a
+A swap's score is the best frontier gate's shortest-path distance plus a
 penalty for traps left without free space, decayed for recently-moved
 qubits, under the post-swap mapping.  The cheapest swap has the smallest key
 ``(score + own edge weight, undo, u, v)``, where ``undo`` marks the edge just
@@ -27,23 +27,13 @@ couple of scans per ``schedule`` call) a numpy-only scorer made compiles
 slower.
 
 Path distances ignore occupancy (they measure geometry, not immediate
-feasibility): ``m`` min-plus steps give the cheapest path with at most ``m``
-intermediate nodes, and pairs out of that range take the shortest path.
-Every score reads the row of a frontier gate's first qubit, now or after
-one candidate move, and rows do not depend on each other.  So ``schedule``
-computes rows one trap block at a time, only for the traps a qubit can be
-scored from: its own trap and, from an end slot, the traps one shuttle
-away.  It fills those for the initial mapping, then after each move for the
-qubits the move touched; a short circuit on a large device reaches few
-traps.  The slot graph is
-block-structured: each trap is a complete block of intra edges, and shuttle
-edges join end slots only.  So a step forms, for each entry, only the sums
-over its own trap's slots and, at an end slot, over the end slots; every
-skipped sum adds an infinite weight, and ``min`` is exact, so the step gives
-the dense n x n x n step's table bit for bit.  The shortest paths come from
-repeating the same step until nothing changes: rounded addition is
-monotone, so that fixpoint of left-to-right path sums is what Dijkstra's
-algorithm returns.
+feasibility), and ``schedule`` builds the whole table once per call, in
+closed form.  The slot graph is block-structured: each trap is a complete
+block of intra edges, and shuttle edges join both end slots of two traps.
+So a distance between traps is the walk to the nearer end slot, the
+cheapest trap route in shuttle units, and the walk in from the other
+trap's nearer end; inside one trap it is the intra weight times the slot
+distance.
 
 Because the distance table ignores occupancy, enabling moves (shifting a
 space to a trap end so a shuttle becomes legal) never lower any gate's
@@ -60,7 +50,6 @@ until the blocked gate has run.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -87,14 +76,14 @@ DECAY_RESET_WINDOW = 5
 @dataclass(frozen=True)
 class SchedulerParams:
     delta: float = 0.001
-    m: int = 2                      # max intermediate path nodes
     iteration_cap_per_gate: int = 10000
 
     def __post_init__(self):
         if not 0 <= self.delta < np.inf:  # NaN fails the test too
             raise ValueError("delta must be finite and >= 0")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        cap = self.iteration_cap_per_gate
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise ValueError(f"iteration_cap_per_gate must be an integer >= 1, not {cap!r}")
 
 
 class SchedulerStuck(ValueError):
@@ -139,61 +128,28 @@ class Schedule:
         return sum(e.weight for e in self.events)
 
 
-def distance_table(graph: DeviceGraph, m: int, scale: float = 1.0,
-                   traps=None) -> np.ndarray:
-    """Node-to-node distance: cheapest path with <= m intermediates, falling
-    back to the unrestricted shortest path where truncation fails.
+def distance_table(graph: DeviceGraph) -> np.ndarray:
+    """Slot-to-slot shortest-path distance, in units of the shuttle base
+    weight, so scaling every device weight by a common factor gives the
+    same table.
 
-    Returns the rows of the slots of ``traps`` (each trap's slots in order,
-    traps in the order given), or the full n x n table when ``traps`` is
-    None.  Rows do not depend on each other, so a row is the same bit for
-    bit whichever rows are computed with it.  Weights are divided by
-    ``scale`` so callers can work in normalized units (the heuristic divides
-    by shuttle_base to keep its arithmetic bit-exact when all weights are
-    multiplied by a common factor)."""
-    n_traps = len(graph.trap_slots)
-    cap = max(len(slots) for slots in graph.trap_slots.values())
-    size = n_traps * cap
-    # columns in trap blocks of ``cap``: a trap's slots start at its block's
-    # first column and its last slot takes the block's last column, so every
-    # trap's end slots sit at block positions 0 and cap - 1
-    col = np.array([t * cap + (p if p < len(graph.trap_slots[t]) - 1 else cap - 1)
-                    for t, p in zip(graph.node_trap, graph.node_pos)], dtype=np.intp)
-    w = np.full((size, size), np.inf)
-    w[col, col] = 0.0
-    u, v = col[graph.edge_u], col[graph.edge_v]
-    w[u, v] = w[v, u] = graph.edge_weight / scale
-    w4 = w.reshape(n_traps, cap, n_traps, cap)
-    intra = w4.diagonal(axis1=0, axis2=2).transpose(2, 0, 1)      # [trap, k, j]
-    ends = w4[:, ::cap - 1, :, ::cap - 1].reshape(2 * n_traps, 2 * n_traps)
-
-    def step(d: np.ndarray) -> np.ndarray:
-        """One min-plus step ``min(d[i,j], min_k d[i,k] + w[k,j])`` over the
-        finite ``w[k,j]``: ``k`` in ``j``'s trap, or both end slots."""
-        x = d.reshape(len(d), n_traps, cap)
-        best = x[:, :, :1] + intra[:, 0]
-        for k in range(1, cap):
-            np.minimum(best, x[:, :, k:k + 1] + intra[:, k], out=best)
-        via = (x[:, :, ::cap - 1].reshape(len(d), -1)[:, :, None] + ends).min(axis=1)
-        best_ends = best[:, :, ::cap - 1]
-        np.minimum(best_ends, via.reshape(best_ends.shape), out=best_ends)
-        return best.reshape(len(d), size)
-
-    sources = col if traps is None else col[[s for t in traps for s in graph.trap_slots[t]]]
-    d = w[sources]
-    for _ in range(m):  # m min-plus steps on top of w: paths of <= m+1 edges
-        d = step(d)
-    table = d[:, col]
-    if not np.isinf(table).any():
-        return table
-    # step on to the fixpoint, the shortest path; rows are independent, so
-    # only the rows the last step lowered take the next one
-    rows = np.arange(len(d))
-    while rows.size:
-        old = d[rows]
-        d[rows] = new = step(old)
-        rows = rows[(new < old).any(axis=1)]
-    return np.where(np.isinf(table), d[:, col], table)
+    Inside a trap it is ``r * |i - j|`` with ``r = inner_weight /
+    shuttle_base``.  Between traps it is ``walk[i] + route + walk[j]``,
+    added left to right as a path sums: ``walk`` is ``r`` times the steps
+    to the nearer end slot and ``route`` the cheapest trap route,
+    ``graph.trap_dist`` (junctions + 1 per hop).  Passing through a trap
+    costs no intra step, as shuttle edges join both end slots, and a trap
+    route (at least 1) outweighs any walk inside one trap (at most
+    ``threshold / shuttle_base`` < 1)."""
+    trap = np.array(graph.node_trap)
+    pos = np.array(graph.node_pos)
+    last = np.array([len(graph.trap_slots[t]) - 1 for t in graph.node_trap])
+    r = graph.params.inner_weight / graph.params.shuttle_base
+    walk = r * np.minimum(pos, last - pos)
+    table = walk[:, None] + graph.trap_dist[trap[:, None], trap] + walk
+    same = trap[:, None] == trap
+    table[same] = (r * np.abs(pos[:, None] - pos))[same]
+    return table
 
 
 def candidates(state: MachineState, graph: DeviceGraph) -> np.ndarray:
@@ -270,24 +226,18 @@ def heuristic_scores(cand: np.ndarray, state: MachineState, graph: DeviceGraph,
 # Deterministic enabling-move planner (escape from heuristic plateaus)
 # ---------------------------------------------------------------------------
 
-def _trap_route(adj, src: int, dst: int) -> tuple[float, list[int]]:
-    """Cheapest trap-level route, ties broken by lexicographic trap sequence.
+def _trap_route(graph: DeviceGraph, src: int, dst: int) -> list[int]:
+    """Cheapest trap-level route, ties broken by lexicographic trap sequence:
+    each hop goes to the lowest-id neighbour still on a cheapest route.
 
     ``Topology`` rejects disconnected devices, so the route exists."""
-    best: dict[int, tuple[float, tuple[int, ...]]] = {src: (0.0, (src,))}
-    heap = [(0.0, (src,))]
-    while True:
-        cost, path = heapq.heappop(heap)
-        here = path[-1]
-        if best.get(here, (np.inf, ())) < (cost, path):
-            continue
-        if here == dst:
-            return cost, list(path)
-        for nb, w in adj[here]:
-            cand = (cost + w, path + (nb,))
-            if nb not in best or cand < best[nb]:
-                best[nb] = cand
-                heapq.heappush(heap, cand)
+    cost = graph.trap_dist
+    route = [src]
+    while route[-1] != dst:
+        here = route[-1]
+        route.append(next(nb for nb, w in graph.trap_adj[here]
+                          if w + cost[nb, dst] == cost[here, dst]))
+    return route
 
 
 class _EscapePlanner:
@@ -361,7 +311,7 @@ class _EscapePlanner:
 
     def route(self, mover: int, stay: int) -> list[tuple[int, int]]:
         g, mapping = self.graph, self.state.mapping
-        route = _trap_route(g.trap_adj, g.node_trap[mapping[mover]], g.node_trap[mapping[stay]])[1]
+        route = _trap_route(g, g.node_trap[mapping[mover]], g.node_trap[mapping[stay]])
         protected = {mover, stay}
         try:
             for t_next in route[1:]:
@@ -401,17 +351,6 @@ def plan_escape(state: MachineState, graph: DeviceGraph, q1: int, q2: int,
 # Main loop
 # ---------------------------------------------------------------------------
 
-def _reach(graph: DeviceGraph) -> list[tuple[int, ...]]:
-    """Per slot, the traps whose distance rows a qubit there can be scored
-    from: its own trap and, from an end slot, each trap one shuttle away."""
-    reach: list[tuple[int, ...]] = [()] * graph.n_nodes
-    for t, slots in graph.trap_slots.items():
-        for s in slots:
-            reach[s] = (t,)
-        reach[slots[0]] = reach[slots[-1]] = (t,) + tuple(nb for nb, _ in graph.trap_adj[t])
-    return reach
-
-
 @dataclass(frozen=True)
 class HeatParams:
     """Accepted by ``schedule`` and ignored, as ``benchmarks/run.py`` still
@@ -434,24 +373,10 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
     state = MachineState(graph, initial_mapping)
     dag = build_dag(circuit)
     norm = graph.params.shuttle_base
-    reach = _reach(graph)
-    # unfilled distance rows stay NaN in ``dist_array`` and None in ``dist``
-    dist_array = np.full((graph.n_nodes, graph.n_nodes), np.nan)
-    dist: list[list[float] | None] = [None] * graph.n_nodes
-    unfilled = set(graph.trap_slots)
-
-    def fill_reach(qubits):
-        """Fill the rows of the traps the qubits' slots reach, where not yet filled."""
-        traps = sorted({t for q in qubits for t in reach[state.mapping[q]] if t in unfilled})
-        if not traps:
-            return
-        rows = [s for t in traps for s in graph.trap_slots[t]]
-        # looked up at call time: the benchmark's tracer wraps it
-        block = distance_table(graph, params.m, scale=norm, traps=traps)
-        dist_array[rows] = block
-        for s, row in zip(rows, block.tolist()):
-            dist[s] = row
-        unfilled.difference_update(traps)
+    # looked up at call time: the benchmark's tracer wraps it.  The numpy
+    # scorer reads the array, the scalar one its nested lists
+    dist_array = distance_table(graph)
+    dist = dist_array.tolist()
 
     # the iteration of the last generic swap that moved each qubit
     last_moved = [-DECAY_RESET_WINDOW - 1] * circuit.n_qubits
@@ -480,7 +405,6 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         nonlocal iteration, prev_edge, swaps_since_gate
         ev = state.apply_generic_swap(e)
         events.append(ev)
-        fill_reach(ev.qubits)
         iteration += 1
         for q in ev.qubits:
             last_moved[q] = iteration
@@ -490,7 +414,6 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
             raise SchedulerStuck(dag.frontier, iteration)
         run_gates()
 
-    fill_reach(state.mapping)
     run_gates()
     while len(dag):
         frontier_gates = []

@@ -1,24 +1,18 @@
-import itertools
 import pathlib
-import random
 import subprocess
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from qccdc import (Circuit, DeviceFull, EventKind, Gate, Junction,
                    MappingParams, Path, SchedulerParams, SchedulerStuck, Strategy, Topology,
                    Trap, WeightParams, distance_table, gen_benchmark, grid_topology,
-                   initial_mapping, linear_topology, parse_topology_spec, random_instance,
+                   initial_mapping, linear_topology, parse_topology_spec,
                    replay, schedule, star_topology, to_graph, topology_from_json)
-from qccdc import scheduler
 from qccdc.bench import qft
 from qccdc.device import EDGE_KINDS
-from qccdc.scheduler import _EscapePlanner, candidates, plan_escape
+from qccdc.scheduler import _EscapePlanner, _trap_route, candidates, plan_escape
 from qccdc.state import MachineState
 
 
@@ -47,46 +41,6 @@ def test_determinism():
     assert event_sig(s1) == event_sig(s2)
 
 
-def test_distance_table_truncation_oracle():
-    """Independent oracle: brute-force enumeration of simple paths with at
-    most m intermediate nodes must match the min-plus table where finite."""
-    g = to_graph(linear_topology(3, 3), WeightParams())
-    m = 2
-    table = distance_table(g, m)
-
-    adj = {n: [] for n in range(g.n_nodes)}
-    for e in g.edges:
-        adj[e.u].append((e.v, e.weight))
-        adj[e.v].append((e.u, e.weight))
-
-    def brute(u, v):
-        best = np.inf
-        stack = [(u, 0.0, {u})]
-        while stack:
-            node, w, seen = stack.pop()
-            if node == v:
-                best = min(best, w)
-                continue
-            if len(seen) - 1 > m:  # already m intermediates used
-                continue
-            for nb, ew in adj[node]:
-                if nb not in seen:
-                    stack.append((nb, w + ew, seen | {nb}))
-        return best
-
-    full = dijkstra(csr_matrix(
-        [[next((e.weight for e in g.edges
-                if {e.u, e.v} == {a, b}), 0.0) for b in range(g.n_nodes)]
-         for a in range(g.n_nodes)]), directed=False)
-    for u, v in itertools.combinations(range(g.n_nodes), 2):
-        b = brute(u, v)
-        if np.isfinite(b):
-            assert table[u, v] == pytest.approx(b)
-        else:
-            # fallback: unrestricted shortest path
-            assert table[u, v] == pytest.approx(full[u, v])
-
-
 def test_import_leaves_scipy_out():
     import qccdc
     src = str(pathlib.Path(qccdc.__file__).resolve().parent.parent)
@@ -102,61 +56,11 @@ def test_distance_table_peak_memory_on_270_slots():
     g = to_graph(parse_topology_spec("L9:30"), WeightParams())
     tracemalloc.start()
     try:
-        distance_table(g, 2)
+        distance_table(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32e6
-
-
-def fill_every_row_up_front(monkeypatch):
-    """Reference: every slot reaches every trap, so ``schedule`` fills the
-    whole table in its first call, as it did before rows were filled on
-    demand."""
-    monkeypatch.setattr(scheduler, "_reach",
-                        lambda graph: [tuple(graph.trap_slots)] * graph.n_nodes)
-
-
-def test_rows_on_demand_match_the_full_table_on_random_instances(monkeypatch):
-    rng = random.Random(11)
-    draws = [random_instance(rng, max_traps=5, max_capacity=6, max_gates=10)
-             for _ in range(150)]
-    params = SchedulerParams(iteration_cap_per_gate=500)
-    lazy = [schedule(c, g, m, params).events for c, g, m in draws]
-    with monkeypatch.context() as mp:
-        fill_every_row_up_front(mp)
-        assert [schedule(c, g, m, params).events for c, g, m in draws] == lazy
-
-
-@pytest.mark.parametrize("spec", ["L5:6", "G2x3:5", "S5:6"])
-@pytest.mark.parametrize("gen,size,kw", [("qft", 16, {}), ("bv", 20, {}),
-                                         ("qaoa_chain", 14, {"layers": 3})])
-def test_rows_on_demand_match_the_full_table_on_compiles(monkeypatch, spec, gen, size, kw):
-    circuit = gen_benchmark(gen, size, **kw)
-    graph = to_graph(parse_topology_spec(spec))
-    for strat in ("gather", "sta"):
-        mapping = initial_mapping(circuit, graph, MappingParams(strategy=Strategy(strat)))
-        lazy = schedule(circuit, graph, mapping).events
-        with monkeypatch.context() as mp:
-            fill_every_row_up_front(mp)
-            assert schedule(circuit, graph, mapping).events == lazy
-
-
-def test_short_circuit_on_a_large_device_fills_few_rows(monkeypatch):
-    circuit = gen_benchmark("qft", 32)
-    graph = to_graph(parse_topology_spec("L9:30"))
-    mapping = initial_mapping(circuit, graph, MappingParams(strategy=Strategy.GATHERING))
-    rows = []
-
-    def counted(*args, **kwargs):
-        table = distance_table(*args, **kwargs)
-        rows.append(len(table))
-        return table
-
-    monkeypatch.setattr(scheduler, "distance_table", counted)
-    sched = schedule(circuit, graph, mapping)
-    assert not replay(sched)
-    assert 0 < sum(rows) < graph.n_nodes == 270
 
 
 def test_candidates_match_classification():
@@ -237,8 +141,11 @@ def test_unplaced_qubit_rejected():
 def test_params_validation():
     with pytest.raises(ValueError):
         SchedulerParams(delta=-0.1)
-    with pytest.raises(ValueError):
-        SchedulerParams(m=0)
+    # a cap below 1 blamed routing ("no progress after 1 generic swaps"),
+    # and a NaN cap turned the cap off
+    for bad in (0, -3, float("nan"), 2.5, True, "10"):
+        with pytest.raises(ValueError, match="iteration_cap_per_gate"):
+            SchedulerParams(iteration_cap_per_gate=bad)
     # a NaN decay factor made every decayed score NaN: L3:4 qft:8 routed
     # with 12 shuttles instead of 16
     for bad in (float("nan"), float("inf")):
@@ -288,6 +195,20 @@ def test_parallel_path_tie_keeps_the_first_listed():
     g = to_graph(topo, WeightParams())
     assert {e.junctions for e in g.edges if e.is_shuttle} == {(0,)}
     assert g.trap_adj == {0: [(1, 2.0)], 1: [(0, 2.0)]}
+
+
+def test_trap_route_is_cheapest_then_lexicographically_first():
+    g = to_graph(grid_topology(2, 3, 3))  # traps 0 1 2 over 3 4 5, 2 units a hop
+    assert g.trap_dist[0, 4] == 4.0 and g.trap_dist[5, 0] == 6.0
+    assert _trap_route(g, 0, 4) == [0, 1, 4]     # over 0-3-4 too
+    assert _trap_route(g, 5, 0) == [5, 2, 1, 0]  # over 5-4-1-0 and 5-4-3-0 too
+    # a junction-free detour (1 + 1) beats a direct path through three junctions (4)
+    topo = Topology(tuple(Trap(i, 3) for i in range(3)),
+                    (Path(0, 2, 1, (0, 1, 2)), Path(0, 1), Path(1, 2)),
+                    tuple(Junction(j, 2) for j in range(3)))
+    g = to_graph(topo)
+    assert g.trap_dist[0, 2] == 2.0
+    assert _trap_route(g, 0, 2) == [0, 1, 2]
 
 
 def test_full_device_raises_device_full():
