@@ -20,7 +20,7 @@ CASES = {
     ("qft", 8, (), "L3:4", "gather"):
         "382a4ce6105cfc3e8900244e709b9d06324ca1db2e71b2c0519badb0d424639b",
     ("qft", 10, (), "G2x2:4", "even"):
-        "270c40d54b2887e3bc2dc3f46fc4f15035a4fd52f5255b24766b98d8a2a18030",
+        "874e6b3afe96110c1773081188b7969cae9aeeca2260135bd4644a079e76b097",
     ("heisenberg", 8, (("trotter_steps", 2),), "S4:4", "sta"):
         "5668c60e387c97fecfac7a13c3e0f31f8a3d5c7a900b609bc4ec163248c72bc5",
     ("qaoa_chain", 12, (("layers", 3),), "L3:6", "even"):
