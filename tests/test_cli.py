@@ -133,6 +133,20 @@ def test_compile_and_sweep_take_no_seed(capsys):
         assert err.value.code == 2
 
 
+def test_compile_and_sweep_take_no_m(tmp_path, monkeypatch):
+    """The distance table has no truncation, so there is no --m flag and no
+    sweep CSV column for it."""
+    for cmd in (["compile"], ["sweep", "--axis", "delta", "--values", "0.001"]):
+        with pytest.raises(SystemExit) as err:
+            main(cmd + ["--gen", "qft:4", "--topology", "L2:3", "--m", "2"])
+        assert err.value.code == 2
+    monkeypatch.setenv("QCCD_SYNC_THREADS", "1")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--gen", "qft:4", "--topology", "L2:3", "--axis", "delta",
+                 "--values", "0.001", "--out", str(out)]) == 0
+    assert "m" not in next(csv.DictReader(out.open()))
+
+
 def test_negative_a0_exit_code(capsys):
     # a negative error scale reported success 0.99996 against the default's 0.966
     assert main(["compile", "--gen", "qft:8", "--topology", "L3:4", "--a0", "-1"]) == 2

@@ -12,13 +12,15 @@ slots, which maps the slot graph onto itself, must leave it bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from qccdc import (EventKind, Junction, Path, Topology, Trap, WeightParams, distance_table,
-                   grid_topology, linear_topology, star_topology, to_graph)
+                   grid_topology, linear_topology, parse_topology_spec, star_topology,
+                   to_graph)
 from qccdc.scheduler import candidates, heuristic_h, heuristic_scores
 from qccdc.state import MachineState
 
@@ -202,3 +204,30 @@ def test_distance_table_equals_dijkstra(spec):
             mirror = np.arange(n)
             mirror[slots] = slots[::-1]
             assert np.array_equal(table[np.ix_(mirror, mirror)], table)
+
+
+@pytest.mark.parametrize("spec", ["L2:3", "L4:12", "L2:22", "L2:40", "G2x2:22", "G2x3:17",
+                                  "G3x3:30", "L9:30", "S9:30"])
+def test_distance_table_equals_dijkstra_on_benchmark_devices(spec):
+    """The devices the benchmark workloads compile on, up to 270 slots."""
+    graph = to_graph(parse_topology_spec(spec))
+    n = graph.n_nodes
+    w = np.zeros((n, n))
+    w[graph.edge_u, graph.edge_v] = graph.edge_weight / graph.params.shuttle_base
+    table = distance_table(graph)
+    assert table.shape == (n, n) and not np.diag(table).any()
+    assert np.abs(table - dijkstra(csr_matrix(w), directed=False)).max() <= 1e-12
+
+
+def test_distance_table_closed_form_on_two_traps():
+    """Two capacity-4 traps, two shuttle units apart: r per step inside a
+    trap, and the walks to the nearer ends around the route between them."""
+    graph = to_graph(linear_topology(2, 4), WeightParams(inner_weight=0.25, shuttle_base=2.0,
+                                                         threshold=1.0))
+    r, route = 0.125, 2.0
+    assert graph.trap_dist[0, 1] == route
+    table = distance_table(graph)
+    assert table[0, 3] == 3 * r and table[1, 2] == r
+    assert table[3, 4] == table[0, 7] == route  # end slot to end slot
+    assert table[1, 6] == r + route + r         # both one step in from an end
+    assert table[2, 5] == table[1, 6]           # over 2-3-4-5 rather than 1-0-7-6

@@ -10,6 +10,7 @@ from qccdc import (Circuit, DeviceFull, EventKind, Gate, Junction,
                    Trap, WeightParams, distance_table, gen_benchmark, grid_topology,
                    initial_mapping, linear_topology, parse_topology_spec,
                    replay, schedule, star_topology, to_graph, topology_from_json)
+from qccdc import scheduler
 from qccdc.bench import qft
 from qccdc.device import EDGE_KINDS
 from qccdc.scheduler import _EscapePlanner, _trap_route, candidates, plan_escape
@@ -61,6 +62,23 @@ def test_distance_table_peak_memory_on_270_slots():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+@pytest.mark.parametrize("spec", ["L5:6", "G2x3:5", "S5:6"])
+def test_schedule_builds_the_distance_table_once(monkeypatch, spec):
+    circuit = gen_benchmark("qft", 16)
+    graph = to_graph(parse_topology_spec(spec))
+    mapping = initial_mapping(circuit, graph, MappingParams(strategy=Strategy.GATHERING))
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return distance_table(g)
+
+    monkeypatch.setattr(scheduler, "distance_table", counted)
+    sched = schedule(circuit, graph, mapping)
+    assert not replay(sched)
+    assert calls == [graph]
 
 
 def test_candidates_match_classification():
