@@ -69,8 +69,7 @@ def _load_topology(args):
 
 def _build_params(args):
     weights = WeightParams(inner_weight=args.inner_weight,
-                           shuttle_base=args.shuttle_weight,
-                           threshold=args.threshold)
+                           shuttle_base=args.shuttle_weight)
     sched_p = SchedulerParams(delta=args.delta)
     map_p = MappingParams(alpha=args.alpha, beta=args.beta,
                           lookahead_k=args.lookahead,
@@ -274,7 +273,6 @@ def _add_compile_flags(p):
     p.add_argument("--delta", type=float, default=0.001)
     p.add_argument("--inner-weight", type=float, default=0.001)
     p.add_argument("--shuttle-weight", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--lookahead", type=int, default=8)

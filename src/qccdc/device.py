@@ -4,12 +4,12 @@ A topology is a multigraph of traps joined by shuttle paths that may cross
 junctions.  ``to_graph`` expands it into a slot-level graph: every slot pair
 inside a trap gets an intra edge (weight = inner_weight * slot distance),
 and the end slots of path-connected traps get shuttle edges
-(weight = w * (junctions + 1)).  All intra weights sit below the threshold,
-all shuttle weights above it, so a single weight comparison separates
-"inside one trap" from "between traps".  Of several paths joining the same
-two traps only the cheapest becomes edges, so each slot pair has one edge,
-and ``trap_dist`` holds the cheapest route cost between every two traps.
-An edge's class and its occupied endpoints decide its generic swap: the
+(weight = w * (junctions + 1)).  Every intra weight lies below every
+shuttle weight, which ``WeightParams.validate`` enforces.  Of several paths
+joining the same two traps only the cheapest becomes edges, so each slot
+pair has one edge, and ``trap_dist`` holds the cheapest route cost between
+every two traps.  Each edge's class is set as the edge is built; the class
+and the edge's occupied endpoints decide its generic swap: the
 ``EventKind`` in ``EDGE_KINDS``, or None where it allows none.
 """
 
@@ -114,23 +114,20 @@ class Topology:
 class WeightParams:
     inner_weight: float = 0.001
     shuttle_base: float = 1.0
-    threshold: float = 0.5
 
     def __post_init__(self):
-        for name in ("inner_weight", "shuttle_base", "threshold"):
+        for name in ("inner_weight", "shuttle_base"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
     def validate(self, max_capacity: int):
-        if not 0 < self.inner_weight * (max_capacity - 1) <= self.threshold:
-            raise ValueError("intra weights must stay at or below the threshold")
-        if self.threshold >= self.shuttle_base:
-            raise ValueError("threshold must lie below the smallest shuttle weight")
+        if not 0 < self.inner_weight * (max_capacity - 1) < self.shuttle_base:
+            raise ValueError("intra weights must be positive and below the shuttle weight")
 
 
-# Edge classes, fixed per edge by its weight: an intra edge (at or below the
-# threshold) between slots further apart than one, an intra edge of weight
-# inner_weight between adjacent slots, and a shuttle edge (above the threshold).
+# Edge classes, fixed per edge by ``to_graph`` as it builds the edge: an intra
+# edge between slots further apart than one, an intra edge between adjacent
+# slots, and a shuttle edge between the end slots of two traps.
 INTRA_EDGE, ADJACENT_EDGE, SHUTTLE_EDGE = 0, 1, 2
 
 # EDGE_KINDS[edge class][occupied endpoints]: the event kind of the generic
@@ -184,12 +181,12 @@ class DeviceGraph:
 
         # one shuttle path per trap pair: the cheapest by (weight, segments),
         # the first listed on a tie; shuttle edges and trap routes both use it
-        self.trap_paths: dict[tuple[int, int], Path] = {}
+        trap_paths: dict[tuple[int, int], Path] = {}
         for path in topology.paths:
             key = (min(path.trap_a, path.trap_b), max(path.trap_a, path.trap_b))
-            old = self.trap_paths.get(key)
+            old = trap_paths.get(key)
             if old is None or _path_cost(path) < _path_cost(old):
-                self.trap_paths[key] = path
+                trap_paths[key] = path
         # per trap, its (neighbour, junctions + 1) pairs over those paths,
         # sorted: the trap-level graph of the escape planner and the oracle;
         # ``trap_dist`` is its cheapest route cost between every two traps,
@@ -198,7 +195,7 @@ class DeviceGraph:
         self.trap_adj: dict[int, list[tuple[int, float]]] = {t.id: [] for t in topology.traps}
         self.trap_dist = np.full((n_traps, n_traps), np.inf)
         np.fill_diagonal(self.trap_dist, 0.0)
-        for (a, b), path in self.trap_paths.items():
+        for (a, b), path in trap_paths.items():
             w = float(len(path.junctions) + 1)  # relative cost only; scale-free
             self.trap_adj[a].append((b, w))
             self.trap_adj[b].append((a, w))
@@ -216,7 +213,8 @@ class DeviceGraph:
                 for j in range(i + 1, len(slots)):
                     self.edges.append(Edge(slots[i], slots[j], params.inner_weight * (j - i),
                                            is_shuttle=False))
-        for path in self.trap_paths.values():
+        n_intra = len(self.edges)
+        for path in trap_paths.values():
             w = params.shuttle_base * (len(path.junctions) + 1)
             ends_a = self._end_slots(path.trap_a)
             ends_b = self._end_slots(path.trap_b)
@@ -230,14 +228,14 @@ class DeviceGraph:
 
         # static per-edge arrays, in edge order: endpoints, weights, and the
         # class that with the number of occupied endpoints decides the edge's
-        # kind (see ``EDGE_KINDS``)
+        # kind (see ``EDGE_KINDS``); the intra edges come first, and an
+        # intra edge joins adjacent slots when its node ids differ by one
         self.edge_u = np.array([e.u for e in self.edges], dtype=np.intp)
         self.edge_v = np.array([e.v for e in self.edges], dtype=np.intp)
         self.edge_weight = np.array([e.weight for e in self.edges], dtype=float)
-        below = self.edge_weight <= params.threshold
-        self.edge_class = np.where(
-            below, np.where(self.edge_weight == params.inner_weight, ADJACENT_EDGE, INTRA_EDGE),
-            SHUTTLE_EDGE).astype(np.intp)
+        self.edge_class = np.full(len(self.edges), SHUTTLE_EDGE, dtype=np.intp)
+        self.edge_class[:n_intra] = np.where(
+            self.edge_v[:n_intra] - self.edge_u[:n_intra] == 1, ADJACENT_EDGE, INTRA_EDGE)
 
     def _end_slots(self, trap_id: int) -> tuple[int, int]:
         slots = self.trap_slots[trap_id]

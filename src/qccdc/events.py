@@ -37,7 +37,3 @@ class EventRecord:
     weight: float = 0.0                   # inserted-op edge weight (0 for gates)
     chain_ions: int = 0                   # N of the acting trap at event time
     ion_dist: int = 0                     # ions strictly between the operands
-
-    @property
-    def is_two_qubit_gate(self) -> bool:
-        return self.kind is EventKind.GATE and len(self.qubits) == 2

@@ -85,7 +85,6 @@ def _interaction_order(circuit: Circuit, layers: list[int]) -> list[int]:
     start = max(remaining, key=lambda q: (total[q], -q))
     placed.append(start)
     remaining.remove(start)
-    placed_set = {start}
     attach = {q: 0.0 for q in remaining}
     for nb, w in conn[start].items():
         if nb in attach:
@@ -94,7 +93,6 @@ def _interaction_order(circuit: Circuit, layers: list[int]) -> list[int]:
         best = max(remaining, key=lambda q: (attach[q], total[q], -q))
         placed.append(best)
         remaining.remove(best)
-        placed_set.add(best)
         del attach[best]
         for nb, w in conn[best].items():
             if nb in attach:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, build_dag
+from .circuit import Circuit, DepGraph, build_dag
 from .device import SHUTTLE_EDGE, VALID_SWAP, DeviceGraph, Edge
 from .events import EventKind, EventRecord
 from .state import MachineState, run_ready_gates
@@ -139,8 +139,8 @@ def distance_table(graph: DeviceGraph) -> np.ndarray:
     to the nearer end slot and ``route`` the cheapest trap route,
     ``graph.trap_dist`` (junctions + 1 per hop).  Passing through a trap
     costs no intra step, as shuttle edges join both end slots, and a trap
-    route (at least 1) outweighs any walk inside one trap (at most
-    ``threshold / shuttle_base`` < 1)."""
+    route (at least 1) outweighs any walk inside one trap (below 1, as
+    ``WeightParams.validate`` requires)."""
     trap = np.array(graph.node_trap)
     pos = np.array(graph.node_pos)
     last = np.array([len(graph.trap_slots[t]) - 1 for t in graph.node_trap])
@@ -332,19 +332,22 @@ class _EscapePlanner:
 
 
 def plan_escape(state: MachineState, graph: DeviceGraph, q1: int, q2: int,
-                remaining_uses) -> list[tuple[int, int]]:
-    """Plan both routing directions for a blocked gate and keep the cheaper.
+                dag: DepGraph) -> list[tuple[int, int]]:
+    """Plan both routing directions for a blocked gate and keep the lighter.
 
-    Ties go to the qubit with fewer remaining two-qubit gates, so the busier
-    operand stays near its future partners."""
+    When both weigh the same, the qubit with fewer unexecuted two-qubit gates
+    in ``dag`` moves, so the busier operand stays near its future partners;
+    on a further tie q2 moves."""
     norm = graph.params.shuttle_base
-    options = []
-    for rank, (mover, stay) in enumerate(((q2, q1), (q1, q2))):
-        plan = _EscapePlanner(state, graph).route(mover, stay)
-        weight = sum(graph.edge(u, v).weight / norm for u, v in plan)
-        options.append((weight, remaining_uses[mover], rank, plan))
-    options.sort(key=lambda t: t[:3])
-    return options[0][3]
+    # plans[0] moves q2, plans[1] moves q1
+    plans = [_EscapePlanner(state, graph).route(mover, stay)
+             for mover, stay in ((q2, q1), (q1, q2))]
+    w2, w1 = (sum(graph.edge(u, v).weight / norm for u, v in plan) for plan in plans)
+    if w1 != w2:
+        return plans[w1 < w2]
+    left1, left2 = (sum(dag.gates[gid].is_two_qubit for gid in dag.on_qubit[q][dag.cursor[q]:])
+                    for q in (q1, q2))
+    return plans[left1 < left2]
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +383,6 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
 
     # the iteration of the last generic swap that moved each qubit
     last_moved = [-DECAY_RESET_WINDOW - 1] * circuit.n_qubits
-    remaining_uses = [0] * circuit.n_qubits
-    for g in circuit.gates:
-        if g.is_two_qubit:
-            for q in g.qubits:
-                remaining_uses[q] += 1
     events: list[EventRecord] = []
     iteration = 0
     swaps_since_gate = 0
@@ -392,12 +390,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
 
     def run_gates():
         nonlocal swaps_since_gate
-        ran = run_ready_gates(state, dag, events)
-        if ran:
-            for ev in events[-ran:]:
-                if ev.is_two_qubit_gate:
-                    for q in ev.qubits:
-                        remaining_uses[q] -= 1
+        if run_ready_gates(state, dag, events):
             swaps_since_gate = 0
 
     def apply_edge(e: Edge):
@@ -455,7 +448,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         # blocked gate explicitly, stopping once it has run
         gid = min(dag.frontier)
         q1, q2 = dag.gates[gid].qubits
-        plan = plan_escape(state, graph, q1, q2, remaining_uses)
+        plan = plan_escape(state, graph, q1, q2, dag)
         if not plan:
             raise SchedulerStuck(dag.frontier, iteration)
         for u, v in plan:

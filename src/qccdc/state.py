@@ -78,8 +78,8 @@ class MachineState:
 
     def co_trapped(self, qa: int, qb: int) -> bool:
         """Whether a two-qubit gate on qa and qb can run now.  Every slot pair
-        in a trap has an intra edge and every shuttle edge lies above the
-        threshold, so this is the same as the pair's edge allowing a gate."""
+        in a trap has an intra edge and no two qubits swap on a shuttle edge,
+        so this is the same as the pair's edge allowing a gate."""
         na, nb = self.mapping[qa], self.mapping[qb]
         return self.graph.node_trap[na] == self.graph.node_trap[nb]
 

@@ -135,8 +135,7 @@ def test_criterion_6_weight_scale_invariance():
 
     base = signature(q.WeightParams())
     for r in (1e2, 1e3, 1e5):
-        scaled = signature(q.WeightParams(inner_weight=0.001 * r,
-                                          shuttle_base=1.0 * r, threshold=0.5 * r))
+        scaled = signature(q.WeightParams(inner_weight=0.001 * r, shuttle_base=1.0 * r))
         assert scaled == base, f"schedule changed at scale {r:g}"
     report("criterion 6 (byte-identical schedules at scales 1e2/1e3/1e5)")
 

@@ -135,11 +135,13 @@ def test_compile_and_sweep_take_no_seed(capsys):
 
 def test_compile_and_sweep_take_no_m(tmp_path, monkeypatch):
     """The distance table has no truncation, so there is no --m flag and no
-    sweep CSV column for it."""
+    sweep CSV column for it; edge classes come from the graph's structure,
+    so there is no --threshold flag either."""
     for cmd in (["compile"], ["sweep", "--axis", "delta", "--values", "0.001"]):
-        with pytest.raises(SystemExit) as err:
-            main(cmd + ["--gen", "qft:4", "--topology", "L2:3", "--m", "2"])
-        assert err.value.code == 2
+        for flag in (["--m", "2"], ["--threshold", "0.5"]):
+            with pytest.raises(SystemExit) as err:
+                main(cmd + ["--gen", "qft:4", "--topology", "L2:3"] + flag)
+            assert err.value.code == 2
     monkeypatch.setenv("QCCD_SYNC_THREADS", "1")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--gen", "qft:4", "--topology", "L2:3", "--axis", "delta",
@@ -226,6 +228,20 @@ def test_sweep_accepts_equals_form(tmp_path, monkeypatch):
     assert rc == 0
     rows = list(csv.DictReader(out.open()))
     assert [(r["topology"], r["status"]) for r in rows] == [("G2x2:4", "ok"), ("G2x2:6", "ok")]
+
+
+def test_weights_need_only_intra_below_shuttle(tmp_path, monkeypatch):
+    """Any shuttle weight above the widest trap's intra weight compiles: a
+    shuttle weight 100 times the intra weight (0.1), and intra weights up to
+    0.78 on a 40-slot trap."""
+    monkeypatch.setenv("QCCD_SYNC_THREADS", "1")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--gen", "qft:8", "--topology", "L3:4", "--axis", "weight-ratio",
+                 "--values", "100,1000", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["value"], r["status"]) for r in rows] == [("100", "ok"), ("1000", "ok")]
+    assert main(["compile", "--gen", "qft:8", "--topology", "L2:40", "--inner-weight", "0.02",
+                 "--out", str(tmp_path / "m.json")]) == 0
 
 
 def test_sweep_mapping_axis_records_failures(tmp_path, monkeypatch):

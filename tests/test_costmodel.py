@@ -118,7 +118,7 @@ def test_heat_accumulates_into_fidelity():
         ev = h.event
         if ev.kind is EventKind.SHUTTLE:
             entered.add(ev.traps[1])
-        elif ev.is_two_qubit_gate:
+        elif ev.kind is EventKind.GATE and len(ev.qubits) == 2:
             if ev.traps[0] in entered:
                 assert h.fidelity < c.fidelity
                 heated += 1

@@ -66,13 +66,13 @@ def test_classify_rules():
     g = to_graph(linear_topology(2, 3), WeightParams())
     # slots 0 1 2 | 3 4 5 hold q0 q1 _ | q2 q3 _
     s = MachineState(g, {0: 0, 1: 1, 2: 3, 3: 4})
-    # rule 1/2: below-threshold edge, both qubits: a SWAP, and a gate may run
+    # rule 1/2: intra edge, both qubits: a SWAP, and a gate may run
     assert s.classify(0, 1) is EventKind.SWAP
     assert s.co_trapped(0, 1) and s.co_trapped(2, 3)
     # qubits on the two ends of a shuttle edge neither swap nor run a gate
     assert s.classify(0, 3) is None
     assert not s.co_trapped(0, 2)
-    # rule 3: above-threshold edge, exactly one space
+    # rule 3: shuttle edge, exactly one space
     assert s.classify(2, 3) is EventKind.SHUTTLE
     # rule 4: adjacent intra edge, one space
     assert s.classify(1, 2) is EventKind.SHIFT
@@ -83,14 +83,18 @@ def test_classify_rules():
 
 
 def test_weight_params_validation():
-    with pytest.raises(ValueError):
-        # intra weight for distance cap-1 exceeds the threshold
-        to_graph(linear_topology(2, 600), WeightParams())
-    with pytest.raises(ValueError):
-        to_graph(linear_topology(2, 3), WeightParams(threshold=1.5))
-    # the threshold tests let a NaN or infinite shuttle weight through, and
+    # the widest trap's intra weight, 0.25 * (cap - 1), must lie below the
+    # shuttle weight 1: 0.75 is valid, 1.0 is not
+    quarter = WeightParams(inner_weight=0.25)
+    to_graph(linear_topology(2, 4), quarter)
+    with pytest.raises(ValueError, match="below the shuttle weight"):
+        to_graph(linear_topology(2, 5), quarter)
+    for bad in (0.0, -0.001):
+        with pytest.raises(ValueError, match="positive"):
+            to_graph(linear_topology(2, 3), WeightParams(inner_weight=bad))
+    # the weight checks let a NaN or infinite shuttle weight through, and
     # the distance table then divided by it
-    for name in ("inner_weight", "shuttle_base", "threshold"):
+    for name in ("inner_weight", "shuttle_base"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=name):
                 WeightParams(**{name: bad})

@@ -577,7 +577,6 @@ def test_event_record_contract():
         "EventRecord(kind=<EventKind.GATE: 'gate'>, qubits=(0, 1), gate_id=3, label='cx', "
         "slots=(4, 6), traps=(1,), segments=0, junction_ids=(), junction_degrees=(), "
         "weight=0.0, chain_ions=5, ion_dist=1)")
-    assert ev.is_two_qubit_gate and not dataclasses.replace(ev, qubits=(0,)).is_two_qubit_gate
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +717,8 @@ def test_evaluate_is_bit_identical_to_reference():
 @pytest.mark.parametrize("family", list(GateFamily))
 def test_evaluate_raises_as_reference_on_malformed_gate_events(field, value, family):
     sched = next(evaluate_cases())
-    i = next(i for i, ev in enumerate(sched.events) if ev.is_two_qubit_gate)
+    i = next(i for i, ev in enumerate(sched.events)
+             if ev.kind is EventKind.GATE and len(ev.qubits) == 2)
     events = list(sched.events)
     events[i] = dataclasses.replace(events[i], **{field: value})
     bad = dataclasses.replace(sched, events=events)

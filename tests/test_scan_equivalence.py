@@ -29,12 +29,12 @@ GENERIC = (EventKind.SWAP, EventKind.SHIFT, EventKind.SHUTTLE)
 
 def reference_kind(graph, u, v, slot_qubit):
     """The generic swap on edge (u, v) from its weight and the occupancy: two
-    qubits swap on an edge at or below the threshold; a qubit and a space
-    shuttle on one above it, or shift on an intra edge of weight inner_weight
-    (adjacent slots); anything else allows none (None)."""
+    qubits swap on an intra edge (weight below shuttle_base); a qubit and a
+    space shuttle on any other edge, or shift on an intra edge of weight
+    inner_weight (adjacent slots); anything else allows none (None)."""
     edge = graph.edge(u, v)
     qu, qv = slot_qubit[u] is not None, slot_qubit[v] is not None
-    below = edge.weight <= graph.params.threshold
+    below = edge.weight < graph.params.shuttle_base
     if below and qu and qv:
         return EventKind.SWAP
     if qu != qv and not below:
@@ -108,8 +108,7 @@ def scans(draw):
 
 
 def prepare(spec, occupancy, moves, gates, delta, scale):
-    graph = to_graph(build(spec), WeightParams(inner_weight=0.001 * scale,
-                                               shuttle_base=scale, threshold=0.5 * scale))
+    graph = to_graph(build(spec), WeightParams(inner_weight=0.001 * scale, shuttle_base=scale))
     slots = [n for n, full in enumerate(occupancy) if full]
     state = MachineState(graph, dict(enumerate(slots)))
     for pick in moves:  # drive the occupancy array through apply_generic_swap
@@ -173,8 +172,8 @@ def test_full_to_one_example_moves_the_penalty():
     assert h == (0.001 + 1) * 1.0
 
 
-WEIGHTS = (WeightParams(), WeightParams(inner_weight=0.013, shuttle_base=3.7, threshold=0.9),
-           WeightParams(inner_weight=1e-7, shuttle_base=1e5, threshold=0.5))
+WEIGHTS = (WeightParams(), WeightParams(inner_weight=0.013, shuttle_base=3.7),
+           WeightParams(inner_weight=1e-7, shuttle_base=1e5), WeightParams(inner_weight=0.1))
 
 
 @st.composite
@@ -222,8 +221,7 @@ def test_distance_table_equals_dijkstra_on_benchmark_devices(spec):
 def test_distance_table_closed_form_on_two_traps():
     """Two capacity-4 traps, two shuttle units apart: r per step inside a
     trap, and the walks to the nearer ends around the route between them."""
-    graph = to_graph(linear_topology(2, 4), WeightParams(inner_weight=0.25, shuttle_base=2.0,
-                                                         threshold=1.0))
+    graph = to_graph(linear_topology(2, 4), WeightParams(inner_weight=0.25, shuttle_base=2.0))
     r, route = 0.125, 2.0
     assert graph.trap_dist[0, 1] == route
     table = distance_table(graph)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from qccdc import (Circuit, DeviceFull, EventKind, Gate, Junction,
+from qccdc import (Circuit, DeviceFull, EventKind, Gate, Junction, build_dag,
                    MappingParams, Path, SchedulerParams, SchedulerStuck, Strategy, Topology,
                    Trap, WeightParams, distance_table, gen_benchmark, grid_topology,
                    initial_mapping, linear_topology, parse_topology_spec,
@@ -129,8 +129,7 @@ def test_scale_invariant_argmin():
     topo = grid_topology(2, 2, 4)
     base = None
     for r in (1.0, 100.0, 1000.0):
-        g = to_graph(topo, WeightParams(inner_weight=0.001 * r,
-                                        shuttle_base=1.0 * r, threshold=0.5 * r))
+        g = to_graph(topo, WeightParams(inner_weight=0.001 * r, shuttle_base=1.0 * r))
         m = initial_mapping(c, g, MappingParams())
         sig = event_sig(schedule(c, g, m))
         if base is None:
@@ -282,7 +281,7 @@ def test_plan_escape_leaves_the_state_as_it_found_it():
     for mover, stay in ((0, 3), (3, 0)):
         _EscapePlanner(state, g).route(mover, stay)
         assert snapshot(state) == before
-    plan = plan_escape(state, g, 0, 3, [0] * 9)
+    plan = plan_escape(state, g, 0, 3, build_dag(Circuit(9, (Gate(0, "cx", (0, 3)),))))
     assert snapshot(state) == before
     assert [(g.node_trap[u], g.node_trap[v]) for u, v in plan] == [(2, 3), (1, 2), (0, 1)]
     for u, v in plan:
@@ -304,6 +303,31 @@ def test_plan_escape_failing_mid_plan_leaves_the_state_unchanged(monkeypatch):
 
     monkeypatch.setattr(_EscapePlanner, "_make_space_in", cascade_then_fail)
     with pytest.raises(DeviceFull):
-        plan_escape(state, g, 0, 3, [0] * 9)
+        plan_escape(state, g, 0, 3, build_dag(Circuit(9, (Gate(0, "cx", (0, 3)),))))
     assert snapshot(state) == before
     state.check_consistency()
+
+
+def test_plan_escape_tie_moves_the_operand_with_fewer_two_qubit_gates_left():
+    """Either operand reaches the other's trap with one shuttle of the same
+    weight, so the one with fewer unexecuted two-qubit gates moves, whichever
+    argument it is.  Executed gates and one-qubit gates do not count."""
+    g = to_graph(linear_topology(2, 3), WeightParams())
+    # slots 0 1 2 | 3 4 5 hold q0 q2 _ | _ _ q1
+    state = MachineState(g, {0: 0, 2: 1, 1: 5})
+    dag = build_dag(Circuit(3, tuple(
+        Gate(i, label, qubits) for i, (label, qubits) in enumerate(
+            [("cx", (1, 2)), ("cx", (1, 2)), ("h", (1,)), ("h", (1,)),
+             ("cx", (0, 1)), ("cx", (0, 2))]))))
+
+    def movers():
+        plans = [plan_escape(state, g, a, b, dag) for a, b in ((0, 1), (1, 0))]
+        assert all(len(plan) == 1 and g.edge(*plan[0]).is_shuttle for plan in plans)
+        return [state.slot_qubit[plan[0][0]] for plan in plans]
+
+    # q1 has three two-qubit gates left and q0 two
+    assert movers() == [0, 0]
+    # once q1's first two gates have run it has one left, and two h gates
+    dag.pop(0)
+    dag.pop(1)
+    assert movers() == [1, 1]

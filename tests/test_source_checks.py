@@ -1,5 +1,5 @@
-"""Checks on the package source: error handling that survives -O, and no
-definition without a caller.
+"""Checks on the package source: error handling that survives -O, no
+definition without a caller, and no unused import.
 
 ``python -O`` strips ``assert`` statements, so a check written as one
 vanishes; a bare ``RuntimeError`` says nothing a caller can catch by type.
@@ -10,6 +10,10 @@ Every function, method and class of the package must be referred to
 somewhere in the program (the package, the benchmarks, the demos and the
 tools) outside its own definition and the package's ``__init__`` exports.
 ``check_consistency``, which only the tests call, is the one exception.
+
+Every module-level import of a package module (``__init__.py``, which
+re-exports, aside) must be used in that module; ``from __future__``
+imports are exempt.
 
 ``EventRecord`` is a slotted dataclass, not a frozen one, so the type no
 longer stops a caller from changing an event after ``replay`` checked it or
@@ -128,6 +132,44 @@ def test_the_caller_check_sees_what_it_forbids(tmp_path):
         "        pass\n")
     (tools / "run.py").write_text("import pkg\npkg.used()\n")
     assert unreferenced([pkg, tools], pkg) == ["mod.py:4: dead", "mod.py:6: loops"]
+
+
+def unused_imports(path):
+    """``file:line: name`` of each name a module-level import in ``path``
+    binds and no code of the module reads.  ``from __future__`` imports are
+    exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names if name not in read]
+    return found
+
+
+def test_every_import_is_used():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert paths
+    assert [o for p in paths for o in unused_imports(p)] == []
+
+
+def test_the_import_check_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from __future__ import annotations\n"
+                   "import os.path\n"
+                   "import numpy as np\n"
+                   "from dataclasses import dataclass, field\n"
+                   "from json import loads as parse\n"
+                   "def f(x) -> np.ndarray:\n"
+                   "    'Uses field in a docstring only.'\n"
+                   "    import sys\n"
+                   "    return dataclass(x)\n")
+    assert unused_imports(bad) == ["bad.py:2: os", "bad.py:4: field", "bad.py:5: parse"]
 
 
 EVENT_FIELDS = frozenset(f.name for f in dataclasses.fields(EventRecord))

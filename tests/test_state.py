@@ -72,7 +72,7 @@ def test_space_recorder_tracks_occupancy():
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=30))
 def test_generic_swap_involution(moves):
-    """Applying the same below-threshold edge twice restores placement."""
+    """Applying the same intra edge twice restores placement."""
     s = make_state({0: 0, 1: 1, 2: 3})
     edges = [s.graph.edge(0, 1), s.graph.edge(1, 2), s.graph.edge(3, 4)]
     for idx in moves:
