@@ -21,12 +21,15 @@ class QasmError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Gate:
     """A single- or two-qubit gate instance inside a circuit.
 
     ``param`` is informational only (rotation angle in radians); scheduling
-    never inspects it.
+    never inspects it.  Slotted, not frozen: a deep circuit builds tens of
+    thousands of gates, and a slotted one builds in a third of the time and
+    has no ``__dict__``.  ``tests/test_source_checks.py`` checks that no code
+    of the program changes a gate's field after it is built.
     """
 
     id: int
@@ -136,12 +139,6 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _QARG_RE = re.compile(rf"^({_NAME})\[([0-9]+)\]$")
 _QREG_RE = re.compile(rf"qreg\s+({_NAME})\[([0-9]+)\]$")
 _GATE_RE = re.compile(rf"({_NAME})\s*(\(([^)]*)\))?\s+(.*)$")
-# A gate statement in the form ``to_qasm`` writes, in one match: the name, an
-# optional angle and one or two ``reg[index]`` operands.  Where it matches,
-# ``_GATE_RE`` and ``_QARG_RE`` find the same name, angle, registers and
-# indices; any other statement takes the general path.
-_GATE_STMT_RE = re.compile(rf"({_NAME})(?:\s*\(([^)]*)\))?\s+({_NAME})\[([0-9]+)\]"
-                           rf"(?:\s*,\s*({_NAME})\[([0-9]+)\])?")
 _EXPR_RE = re.compile(r"[0-9eE\.\+\-\*/\(\) pi]*")
 # A plain numeric angle: an OpenQASM real or nninteger with an optional sign,
 # the form ``to_qasm`` writes with ``repr``.  ``float`` reads each of these to
@@ -149,27 +146,35 @@ _EXPR_RE = re.compile(r"[0-9eE\.\+\-\*/\(\) pi]*")
 # integer forms are left out because the two differ there: a signed zero
 # (``eval`` makes ``-0`` the integer 0, so +0.0) and integers of over 308
 # digits (``eval`` overflows making them floats, or hits the digit limit).
-_LITERAL_RE = re.compile(r" *(?:[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-                         r"|[0-9]+[eE][+-]?[0-9]+|[1-9][0-9]{0,307})|0+) *")
+_LITERAL = (r" *(?:[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+            r"|[0-9]+[eE][+-]?[0-9]+|[1-9][0-9]{0,307})|0+) *")
+# A gate statement in the form ``to_qasm`` writes, in one match: the name, an
+# optional angle (plain numeric in group 2, else in 3) and one or two
+# ``reg[index]`` operands.  Where it matches, ``_GATE_RE`` and ``_QARG_RE`` find
+# the same; any other statement takes the general path, angles through ``eval``.
+_GATE_STMT_RE = re.compile(rf"({_NAME})(?:\s*\((?:({_LITERAL})|([^)]*))\))?"
+                           rf"\s+({_NAME})\[([0-9]+)\](?:\s*,\s*({_NAME})\[([0-9]+)\])?")
 
 _PARAM_NAMES = {"pi": math.pi}
-_GATE_NAMES = ONE_QUBIT_GATES | TWO_QUBIT_GATES | {"swap"}
+# each name maps to itself, so every gate of one name shares one label string
+_GATE_NAMES = {name: name for name in ONE_QUBIT_GATES | TWO_QUBIT_GATES | {"swap"}}
 
 
 def _eval_param(expr: str, line_no: int) -> float:
     """Evaluate a constant angle expression (numbers, pi, + - * / and parens)
     to a finite float."""
-    if _LITERAL_RE.fullmatch(expr):
-        value = float(expr)
-    else:
-        if not _EXPR_RE.fullmatch(expr):
-            raise QasmError(f"unsupported parameter expression '{expr}'", line_no)
-        if "**" in expr:  # where ``2**2**24`` would build a 16-Mbit integer
-            raise QasmError(f"OpenQASM 2.0 has no '**' operator: '{expr}'", line_no)
-        try:
-            value = float(eval(expr, {"__builtins__": {}}, _PARAM_NAMES))  # noqa: S307
-        except Exception as exc:
-            raise QasmError(f"bad parameter expression '{expr}': {exc}", line_no) from exc
+    if not _EXPR_RE.fullmatch(expr):
+        raise QasmError(f"unsupported parameter expression '{expr}'", line_no)
+    if "**" in expr:  # where ``2**2**24`` would build a 16-Mbit integer
+        raise QasmError(f"OpenQASM 2.0 has no '**' operator: '{expr}'", line_no)
+    try:
+        value = float(eval(expr, {"__builtins__": {}}, _PARAM_NAMES))  # noqa: S307
+    except Exception as exc:
+        raise QasmError(f"bad parameter expression '{expr}': {exc}", line_no) from exc
+    return _finite(value, expr, line_no)
+
+
+def _finite(value: float, expr: str, line_no: int) -> float:
     if not math.isfinite(value):
         raise QasmError(f"parameter expression '{expr}' is not finite", line_no)
     return value
@@ -205,7 +210,7 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
         return qubit(m.group(1), m.group(2), line_no)
 
     def add(label, qubits, param=None):
-        gates.append(Gate(len(gates), label, tuple(qubits), param))
+        gates.append(Gate(len(gates), label, qubits, param))
 
     # statements are ';'-terminated; track line numbers for diagnostics
     line_no = 0
@@ -226,11 +231,15 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
     one_pattern = _GATE_STMT_RE.fullmatch
     for ln, stmt in statements:
         m = one_pattern(stmt)
-        if m is not None and n_qubits is not None and (gate_name := m[1].lower()) in _GATE_NAMES:
-            angle, reg, idx, reg_b, idx_b = m.groups()[1:]
-            param = None if angle is None else _eval_param(angle, ln)
-            args = ([qubit(reg, idx, ln)] if reg_b is None
-                    else [qubit(reg, idx, ln), qubit(reg_b, idx_b, ln)])
+        if (m is not None and n_qubits is not None
+                and (gate_name := _GATE_NAMES.get(m[1].lower())) is not None):
+            literal, angle, reg, idx, reg_b, idx_b = m.groups()[1:]
+            if literal is not None:
+                param = _finite(float(literal), literal, ln)
+            else:
+                param = None if angle is None else _eval_param(angle, ln)
+            args = ((qubit(reg, idx, ln),) if reg_b is None
+                    else (qubit(reg, idx, ln), qubit(reg_b, idx_b, ln)))
         else:
             words = stmt.split(None, 1)
             head = words[0].split("(", 1)[0].lower()
@@ -256,11 +265,11 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
             m = _GATE_RE.match(stmt)
             if not m:
                 raise QasmError(f"cannot parse statement '{stmt}'", ln)
-            gate_name = m.group(1).lower()
-            if gate_name not in _GATE_NAMES:
-                raise QasmError(f"unsupported gate '{gate_name}'", ln)
+            gate_name = _GATE_NAMES.get(m.group(1).lower())
+            if gate_name is None:
+                raise QasmError(f"unsupported gate '{m.group(1).lower()}'", ln)
             param = _eval_param(m.group(3), ln) if m.group(3) is not None else None
-            args = [parse_qubit(a, ln) for a in m.group(4).split(",")]
+            args = tuple(parse_qubit(a, ln) for a in m.group(4).split(","))
 
         if gate_name in ONE_QUBIT_GATES:
             if len(args) != 1:

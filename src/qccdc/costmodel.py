@@ -15,6 +15,8 @@ it completes (none if relaxed); ``Metrics.nbar`` is each trap's at the end.
 It reads the cost parameters once per call, not per event, and grades every
 gate and SWAP with ``gate_duration`` and ``gate_fidelity``, so malformed
 events raise the helpers' errors and AM1 gates at d = 0 warn once per event.
+It stores each event's start, duration and fidelity in flat lists indexed
+like ``sched.events``; ``Metrics.timeline`` builds ``TimedEvent``s on read.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .events import EventKind, EventRecord
@@ -117,8 +120,36 @@ class TimedEvent:
     fidelity: float | None  # None for events with no direct fidelity factor
 
 
+class Timeline(Sequence):
+    """Read-only timed events over a schedule's events and three lists indexed
+    like them; reading builds the ``TimedEvent``s, and it equals their list."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, events, starts, durations, fidelities):
+        self._columns = (events, starts, durations, fidelities)
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        cols = (c[i] for c in self._columns)
+        return list(map(TimedEvent, *cols)) if isinstance(i, slice) else TimedEvent(*cols)
+
+    def __iter__(self):
+        return map(TimedEvent, *self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (Timeline, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class Metrics:
+    """The grade of one schedule.  ``timeline`` is a ``Timeline`` from
+    ``evaluate``, built on read from stored lists, or a list of ``TimedEvent``s."""
+
     makespan_us: float
     success_rate: float
     shuttles: int
@@ -126,7 +157,7 @@ class Metrics:
     space_shifts: int
     two_qubit_gates: int
     one_qubit_gates: int
-    timeline: list[TimedEvent] = field(default_factory=list, repr=False)
+    timeline: Sequence[TimedEvent] = field(default_factory=list, repr=False)
     nbar: dict[int, float] = field(default_factory=dict, repr=False)  # per trap, at the end
     compile_ms: float | None = None
 
@@ -157,8 +188,8 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
     nbar: dict[int, float] = {t.id: 0.0 for t in sched.graph.topology.traps}
     success = 1.0
     makespan = 0.0
-    timeline: list[TimedEvent] = []
-    add = timeline.append
+    starts, durations, fidelities = [], [], []
+    add_start, add_duration, add_fidelity = starts.append, durations.append, fidelities.append
 
     for ev in sched.events:
         kind = ev.kind
@@ -205,7 +236,10 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
             makespan = end
         if fidelity is not None:
             success *= fidelity
-        add(TimedEvent(ev, start, dur, fidelity))
+        add_start(start)
+        add_duration(dur)
+        add_fidelity(fidelity)
 
-    return Metrics(makespan_us=makespan, success_rate=success, timeline=timeline,
-                   nbar=nbar, **sched.metrics)
+    return Metrics(makespan_us=makespan, success_rate=success, nbar=nbar,
+                   timeline=Timeline(sched.events, starts, durations, fidelities),
+                   **sched.metrics)

@@ -147,10 +147,14 @@ class Edge:
     u: int
     v: int
     weight: float
-    is_shuttle: bool
     # shuttle edges only: segment count and junction ids
     segments: int = 0
     junctions: tuple[int, ...] = ()
+
+    @property
+    def is_shuttle(self) -> bool:
+        """Every shuttle crosses at least one segment; an intra edge none."""
+        return self.segments > 0
 
 
 def _path_cost(path: Path) -> tuple[int, int]:
@@ -211,8 +215,7 @@ class DeviceGraph:
             slots = self.trap_slots[trap.id]
             for i in range(len(slots)):
                 for j in range(i + 1, len(slots)):
-                    self.edges.append(Edge(slots[i], slots[j], params.inner_weight * (j - i),
-                                           is_shuttle=False))
+                    self.edges.append(Edge(slots[i], slots[j], params.inner_weight * (j - i)))
         n_intra = len(self.edges)
         for path in trap_paths.values():
             w = params.shuttle_base * (len(path.junctions) + 1)
@@ -221,7 +224,7 @@ class DeviceGraph:
             for u in ends_a:
                 for v in ends_b:
                     a, b = (u, v) if u < v else (v, u)
-                    self.edges.append(Edge(a, b, w, is_shuttle=True, segments=path.segments,
+                    self.edges.append(Edge(a, b, w, segments=path.segments,
                                            junctions=path.junctions))
         # (u, v) with u < v -> index into ``edges`` and the per-edge arrays
         self._edge_index = {(e.u, e.v): i for i, e in enumerate(self.edges)}

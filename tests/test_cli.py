@@ -49,6 +49,16 @@ def test_compile_events_csv_and_snapshot(tmp_path):
     assert rc == 0
     rows = list(csv.DictReader(ev.open()))
     assert rows and {"kind", "start_us", "duration_us"} <= set(rows[0])
+    # one row per event: as many of each kind as the metrics count
+    m = json.loads((tmp_path / "m.json").read_text())
+    kinds = [row["kind"] for row in rows]
+    assert kinds.count("gate") == m["two_qubit_gates"] + m["one_qubit_gates"]
+    assert kinds.count("swap") == m["swap_gates"]
+    assert kinds.count("shift") == m["space_shifts"]
+    assert kinds.count("shuttle") == m["shuttles"]
+    assert len(rows) == len(kinds) == sum(
+        m[k] for k in ("two_qubit_gates", "one_qubit_gates", "swap_gates", "space_shifts",
+                       "shuttles"))
     s = json.loads(snap.read_text())
     assert set(s) == {"mapping", "spaces", "nbar"}
     assert len(s["mapping"]) == 8

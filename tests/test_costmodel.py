@@ -8,6 +8,7 @@ from qccdc import (CostParams, EventKind, GateFamily, MappingParams,
                    grid_topology, initial_mapping, schedule, shuttle_duration,
                    to_graph)
 from qccdc.bench import qft
+from qccdc.costmodel import TimedEvent
 
 
 def test_fm_durations():
@@ -77,6 +78,35 @@ def test_evaluate_counts_and_makespan():
         for t in te.event.traps:
             per_resource[t] = per_resource.get(t, 0.0) + te.duration_us
     assert metrics.makespan_us >= max(per_resource.values()) - 1e-9
+
+
+def test_timeline_is_a_read_only_sequence_of_timed_events():
+    """``evaluate`` keeps flat per-event lists; the timeline builds the
+    ``TimedEvent``s from them on read, the same on every read."""
+    s = make_schedule()
+    metrics = evaluate(s)
+    timeline = metrics.timeline
+    assert len(timeline) == len(s.events) > 0
+    listed = list(timeline)
+    assert all(type(te) is TimedEvent for te in listed)
+    assert [te.event for te in listed] == s.events
+    assert [timeline[i] for i in range(len(timeline))] == listed
+    assert [timeline[-i] for i in range(1, len(timeline) + 1)] == listed[::-1]
+    assert timeline[1:4] == listed[1:4] and timeline[::-1] == listed[::-1]
+    with pytest.raises(IndexError):
+        timeline[len(timeline)]
+    assert timeline == listed and listed == timeline
+    assert not (timeline != listed) and not (listed != timeline)
+    assert timeline != listed[:-1] and listed[:-1] != timeline
+    assert list(timeline) == listed and list(timeline) is not listed
+    assert timeline == evaluate(s).timeline
+    # read-only: no item assignment, and its lists are not attributes
+    with pytest.raises(TypeError):
+        timeline[0] = listed[0]
+    with pytest.raises(AttributeError):
+        timeline.starts = []
+    # the flat lists time each event as the makespan says
+    assert max(te.start_us + te.duration_us for te in listed) == metrics.makespan_us
 
 
 def test_no_resource_overlap():

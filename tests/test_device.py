@@ -7,6 +7,7 @@ import pytest
 
 from qccdc import (EventKind, MachineState, WeightParams, grid_topology, linear_topology,
                    parse_topology_spec, star_topology, to_graph, topology_from_json)
+from qccdc.device import SHUTTLE_EDGE
 
 
 def test_linear_structure():
@@ -60,6 +61,16 @@ def test_shuttle_edges_connect_end_slots_only():
             assert g.node_trap[e.u] != g.node_trap[e.v]
         else:
             assert g.node_trap[e.u] == g.node_trap[e.v]
+
+
+@pytest.mark.parametrize("topology", [linear_topology(4, 5), grid_topology(2, 3, 4),
+                                      star_topology(4, 3)])
+def test_is_shuttle_agrees_with_the_edge_class(topology):
+    graph = to_graph(topology)
+    assert any(e.is_shuttle for e in graph.edges)
+    assert any(not e.is_shuttle for e in graph.edges)
+    for i, e in enumerate(graph.edges):
+        assert e.is_shuttle == (graph.edge_class[i] == SHUTTLE_EDGE)
 
 
 def test_classify_rules():

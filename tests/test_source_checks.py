@@ -20,6 +20,8 @@ longer stops a caller from changing an event after ``replay`` checked it or
 a digest was taken.  No code of the program assigns or deletes an attribute
 named like an event field (outside a class's own ``self``), by statement or
 by ``setattr``; changed events are derived with ``dataclasses.replace``.
+``Gate`` is slotted and mutable too, and the same check holds for the
+names of its fields: a circuit's gates stay as parsed or generated.
 """
 
 import ast
@@ -27,6 +29,7 @@ import dataclasses
 from pathlib import Path
 
 import qccdc
+from qccdc.circuit import Gate
 from qccdc.events import EventRecord
 
 SRC = Path(qccdc.__file__).parent
@@ -173,24 +176,32 @@ def test_the_import_check_sees_what_it_forbids(tmp_path):
 
 
 EVENT_FIELDS = frozenset(f.name for f in dataclasses.fields(EventRecord))
+GATE_FIELDS = frozenset(f.name for f in dataclasses.fields(Gate))
 
 
-def event_field_writes(path):
+def field_writes(path, fields):
     """``file:line: code`` of each attribute write or delete in ``path`` that
-    names an ``EventRecord`` field on anything but ``self``."""
+    names one of ``fields`` on anything but ``self``, and of each
+    ``setattr``-style call that names one."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
-                and node.attr in EVENT_FIELDS
+                and node.attr in fields
                 and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
             found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
-        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+        elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            attr = node.args[1]
-            if (name in ("setattr", "delattr", "__setattr__", "__delattr__")
-                    and isinstance(attr, ast.Constant) and attr.value in EVENT_FIELDS):
+            if name not in ("setattr", "delattr", "__setattr__", "__delattr__"):
+                continue
+            # ``setattr(obj, name)`` and ``object.__setattr__(obj, name)`` take
+            # the name second, a bound ``obj.__setattr__(name)`` first
+            bound = name.startswith("__") and not (isinstance(func.value, ast.Name)
+                                                   and func.value.id == "object")
+            i = 0 if bound else 1
+            attr = node.args[i] if len(node.args) > i else None
+            if isinstance(attr, ast.Constant) and attr.value in fields:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     return found
 
@@ -198,7 +209,7 @@ def event_field_writes(path):
 def test_no_code_changes_an_event_after_it_is_built():
     paths = [p for d in PROGRAM for p in sorted(d.rglob("*.py"))]
     assert paths
-    assert [o for p in paths for o in event_field_writes(p)] == []
+    assert [o for p in paths for o in field_writes(p, EVENT_FIELDS)] == []
 
 
 def test_the_event_write_check_sees_what_it_forbids(tmp_path):
@@ -213,7 +224,38 @@ def test_the_event_write_check_sees_what_it_forbids(tmp_path):
                    "    setattr(ev, 'kind', None)\n"
                    "    object.__setattr__(ev, 'weight', 1.0)\n"
                    "    setattr(mod, 'evaluate', fn)\n")
-    assert event_field_writes(bad) == [
+    assert field_writes(bad, EVENT_FIELDS) == [
         "bad.py:5: ev.traps", "bad.py:6: ev.label", "bad.py:7: ev.segments",
         "bad.py:8: setattr(ev, 'kind', None)",
         "bad.py:9: object.__setattr__(ev, 'weight', 1.0)"]
+
+
+def test_no_code_changes_a_gate_after_it_is_built():
+    assert GATE_FIELDS == {"id", "label", "qubits", "param"}
+    paths = [p for d in PROGRAM for p in sorted(d.rglob("*.py"))]
+    assert paths
+    assert [o for p in paths for o in field_writes(p, GATE_FIELDS)] == []
+
+
+def test_the_gate_write_check_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("class Ok:\n"
+                   "    def __init__(self):\n"
+                   "        self.qubits = ()\n"
+                   "def f(g, circuit, x):\n"
+                   "    g.qubits = (1, 0)\n"
+                   "    circuit.gates[0].param = 0.5\n"
+                   "    g.id += 1\n"
+                   "    del g.label\n"
+                   "    setattr(g, 'param', None)\n"
+                   "    delattr(g, 'label')\n"
+                   "    object.__setattr__(g, 'id', 3)\n"
+                   "    g.__delattr__('qubits')\n"
+                   "    g.name = 'ok'\n"
+                   "    setattr(x, 'n_qubits', 2)\n"
+                   "    return g.qubits, g.param\n")
+    assert field_writes(bad, GATE_FIELDS) == [
+        "bad.py:5: g.qubits", "bad.py:6: circuit.gates[0].param", "bad.py:7: g.id",
+        "bad.py:8: g.label", "bad.py:9: setattr(g, 'param', None)",
+        "bad.py:10: delattr(g, 'label')", "bad.py:11: object.__setattr__(g, 'id', 3)",
+        "bad.py:12: g.__delattr__('qubits')"]
