@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -133,8 +134,8 @@ class Timeline(Sequence):
         return len(self._columns[0])
 
     def __getitem__(self, i):
-        cols = (c[i] for c in self._columns)
-        return list(map(TimedEvent, *cols)) if isinstance(i, slice) else TimedEvent(*cols)
+        i = operator.index(i)  # ints only: no caller slices a timeline
+        return TimedEvent(*(c[i] for c in self._columns))
 
     def __iter__(self):
         return map(TimedEvent, *self._columns)

@@ -13,8 +13,10 @@ gates.  It passes over the whole frontier once and then over only the gates
 each pass promoted: gates move no ion, so a gate a pass skips stays blocked
 until the next move.  ``ion_distance`` counts the trap's spaces between two
 qubits instead of walking the slots there.  The drain, run after every move,
-reads placement through locals bound once per call, works out chain length
-and ion distance inline by the same arithmetic, and builds no per-trap table.
+binds ``mapping`` and ``node_trap`` once per call and asks ``co_trapped``,
+``ion_distance`` and ``chain_length`` for the rest, the same methods
+``apply_generic_swap`` reads, so each fact has one formula; it builds no
+per-trap table.
 
 One compile job owns one MachineState.  Every structural change goes through
 ``_exchange``, called by ``apply_generic_swap`` for real moves and by the
@@ -158,9 +160,7 @@ def run_ready_gates(state: MachineState, dag: DepGraph, events: list[EventRecord
     next one, because gates move no ion, so this emits the events of passes
     over the whole frontier to a fixpoint.  Returns how many ran.
     """
-    graph = state.graph
-    mapping, spaces, co_trapped = state.mapping, state.spaces, state.co_trapped
-    node_trap, node_pos, trap_slots = graph.node_trap, graph.node_pos, graph.trap_slots
+    mapping, node_trap = state.mapping, state.graph.node_trap
     gates = dag.gates
     ran = 0
     todo = sorted(dag.frontier)
@@ -169,25 +169,18 @@ def run_ready_gates(state: MachineState, dag: DepGraph, events: list[EventRecord
         for gid in todo:
             g = gates[gid]
             qubits = g.qubits
-            if len(qubits) == 2 and not co_trapped(*qubits):
-                continue
-            na = mapping[qubits[0]]
-            trap = node_trap[na]
-            free = spaces[trap]
             if len(qubits) == 2:
-                nb = mapping[qubits[1]]
-                slots = (na, nb)
-                pa, pb = node_pos[na], node_pos[nb]
-                lo, hi = (pa, pb) if pa < pb else (pb, pa)
-                dist = hi - lo - 1
-                for p in free:
-                    if lo < p < hi:
-                        dist -= 1
+                if not state.co_trapped(*qubits):
+                    continue
+                slots = (mapping[qubits[0]], mapping[qubits[1]])
+                dist = state.ion_distance(*qubits)
             else:
-                slots, dist = (na,), 0
+                slots = (mapping[qubits[0]],)
+                dist = 0
+            trap = node_trap[slots[0]]
             events.append(EventRecord(
                 EventKind.GATE, qubits=qubits, gate_id=gid, label=g.label, slots=slots,
-                traps=(trap,), chain_ions=len(trap_slots[trap]) - len(free), ion_dist=dist))
+                traps=(trap,), chain_ions=state.chain_length(trap), ion_dist=dist))
             promoted += dag.pop(gid)
             ran += 1
         todo = sorted(promoted)

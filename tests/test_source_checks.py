@@ -193,15 +193,11 @@ def field_writes(path, fields):
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if name not in ("setattr", "delattr", "__setattr__", "__delattr__"):
-                continue
-            # ``setattr(obj, name)`` and ``object.__setattr__(obj, name)`` take
+            # ``setattr(obj, name)`` and ``Cls.__setattr__(obj, name)`` take
             # the name second, a bound ``obj.__setattr__(name)`` first
-            bound = name.startswith("__") and not (isinstance(func.value, ast.Name)
-                                                   and func.value.id == "object")
-            i = 0 if bound else 1
-            attr = node.args[i] if len(node.args) > i else None
-            if isinstance(attr, ast.Constant) and attr.value in fields:
+            if (name in ("setattr", "delattr", "__setattr__", "__delattr__")
+                    and any(isinstance(a, ast.Constant) and a.value in fields
+                            for a in node.args[:2])):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     return found
 
@@ -223,11 +219,13 @@ def test_the_event_write_check_sees_what_it_forbids(tmp_path):
                    "    ev.segments += 1\n"
                    "    setattr(ev, 'kind', None)\n"
                    "    object.__setattr__(ev, 'weight', 1.0)\n"
-                   "    setattr(mod, 'evaluate', fn)\n")
+                   "    setattr(mod, 'evaluate', fn)\n"
+                   "    EventRecord.__setattr__(ev, 'kind', None)\n")
     assert field_writes(bad, EVENT_FIELDS) == [
         "bad.py:5: ev.traps", "bad.py:6: ev.label", "bad.py:7: ev.segments",
         "bad.py:8: setattr(ev, 'kind', None)",
-        "bad.py:9: object.__setattr__(ev, 'weight', 1.0)"]
+        "bad.py:9: object.__setattr__(ev, 'weight', 1.0)",
+        "bad.py:11: EventRecord.__setattr__(ev, 'kind', None)"]
 
 
 def test_no_code_changes_a_gate_after_it_is_built():
@@ -253,9 +251,12 @@ def test_the_gate_write_check_sees_what_it_forbids(tmp_path):
                    "    g.__delattr__('qubits')\n"
                    "    g.name = 'ok'\n"
                    "    setattr(x, 'n_qubits', 2)\n"
+                   "    type(g).__setattr__(g, 'id', 3)\n"
+                   "    __setattr__(g, 'param', 0.5)\n"
                    "    return g.qubits, g.param\n")
     assert field_writes(bad, GATE_FIELDS) == [
         "bad.py:5: g.qubits", "bad.py:6: circuit.gates[0].param", "bad.py:7: g.id",
         "bad.py:8: g.label", "bad.py:9: setattr(g, 'param', None)",
         "bad.py:10: delattr(g, 'label')", "bad.py:11: object.__setattr__(g, 'id', 3)",
-        "bad.py:12: g.__delattr__('qubits')"]
+        "bad.py:12: g.__delattr__('qubits')", "bad.py:15: type(g).__setattr__(g, 'id', 3)",
+        "bad.py:16: __setattr__(g, 'param', 0.5)"]
