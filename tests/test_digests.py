@@ -3,7 +3,9 @@
 Each digest is a SHA-256 over every field of every event, in order (the
 formula of ``benchmarks/checker.py``).  The recorded values come from the
 scheduler before its candidate scan was vectorised; a change that moves one
-must say why its schedules differ.
+must say why its schedules differ.  The ``exact_schedule`` digests pin which
+optimum the oracle returns among equal-cost paths, and its Infeasible
+verdicts, hashed as ``("infeasible", depth)``.
 """
 
 import hashlib
@@ -12,8 +14,9 @@ import random
 import pytest
 
 import qccdc.scheduler as scheduler
-from qccdc import (MappingParams, Strategy, gen_benchmark, initial_mapping, parse_topology_spec,
-                   random_instance, schedule, to_graph)
+from qccdc import (Infeasible, MappingParams, OracleLimits, Strategy, exact_schedule,
+                   gen_benchmark, initial_mapping, parse_topology_spec, random_instance,
+                   schedule, to_graph)
 
 CASES = {
     # (generator, size, params, topology, mapping): digest
@@ -33,6 +36,13 @@ CASES = {
 # 60 draws of random_instance(random.Random(2025)), hashed as one stream
 POOL_SEED, POOL_SIZE = 2025, 60
 POOL_DIGEST = "560eb8a20b934adf8fff571fe2cd190f86efc13180a9db28f7d7c95aba1cc0d8"
+ORACLE_POOLS = {
+    # (seed, draws, random_instance shape, max_depth): digest of exact_schedule's results
+    (12345, 40, (), 8):
+        "f7b1be1c4232f5bb15557d8d05db6d0a1d5ebd2bc58693754f7f0067319e34ca",
+    (31, 100, (("max_traps", 4), ("max_gates", 5)), 4):   # 35 are Infeasible
+        "21cd2f2121b95bda19d7d8d91de40ec59d145ad101d9d3e84e4cadcc02b0fdc8",
+}
 
 
 def digest(events, h=None):
@@ -83,3 +93,18 @@ def test_random_pool_digest(numpy_scans):
         digest(schedule(circuit, graph, mapping).events, h)
     assert h.hexdigest() == POOL_DIGEST
     assert not numpy_scans  # tiny instances: every scan stays below the constant
+
+
+@pytest.mark.parametrize("pool", list(ORACLE_POOLS), ids=lambda p: f"seed{p[0]}-depth{p[3]}")
+def test_exact_schedule_pool_digest(pool):
+    seed, draws, shape, depth = pool
+    rng = random.Random(seed)
+    limits = OracleLimits(max_depth=depth)
+    h = hashlib.sha256()
+    for _ in range(draws):
+        res = exact_schedule(*random_instance(rng, **dict(shape)), limits)
+        if isinstance(res, Infeasible):
+            h.update(repr(("infeasible", res.depth)).encode())
+        else:
+            digest(res.events, h)
+    assert h.hexdigest() == ORACLE_POOLS[pool]
