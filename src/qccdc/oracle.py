@@ -7,18 +7,23 @@ unlocks successors.  The objective is lexicographic: total inserted edge
 weight (the heuristic's own currency), then fewer shuttles, then fewer SWAP
 gates.
 
-The lower bound h is the most trap hops between the two qubits of any
-unexecuted two-qubit gate, with hops counted by BFS over the trap pairs
-joined by a shuttle path.  Such a gate needs at least h shuttles, and each
-weighs at least w_min, the smallest shuttle-edge weight; so a state is
-pushed with key ``(weight + h * w_min, shuttles + h, swaps)``.  w_min is
-shrunk by a factor ``1 - 1e-9`` so that the float product never rounds above
-an exact float sum of h shuttle weights.  The bound is consistent: a
-shuttle moves one qubit one hop, so it lowers h by at most 1 while adding
-at least w_min and one shuttle; a SWAP or a space shift moves no qubit
-between traps, so it changes neither h nor which gates can run.  That is
-also why gate closure and h are recomputed only after a shuttle, and then
-only from the gates on the moved qubit and the successors of gates that run.
+The lower bound h is the largest sum of trap hops over any set of
+unexecuted two-qubit gates on pairwise disjoint qubits; ``_hop_bound``
+lists the maximal such sets once per call.  Disjoint gates need disjoint
+shuttles, each weighing at least w_min, the smallest shuttle-edge weight,
+so a state is pushed with key ``(weight + h * w_min, shuttles + h,
+swaps)``; w_min is shrunk by a factor ``1 - 1e-9`` so that the float
+product never rounds above an exact float sum of h shuttle weights.  The
+bound is consistent: a shuttle moves one qubit one hop, so it lowers each
+set's sum by at most 1 while adding at least w_min and one shuttle; a gate
+runs only at 0 hops; a SWAP or a space shift moves no qubit between traps.
+With a consistent bound A* still returns the least (cost, path) under the
+dedup and depth rules below, so the bound sets how many states are
+expanded, not the result.  A state carries its executed set as a bitmask
+and each qubit's trap as a tuple.  After a shuttle, closure and h start
+from the gates on the moved qubit; as the executed set was closed before
+the move, they depend only on the new traps and the executed set, and are
+computed once per such pair in each call.
 
 Ties between equal-cost paths are broken by the edge sequence itself, each
 edge written (u, v) with u < v and sequences compared lexicographically:
@@ -50,6 +55,11 @@ class OracleLimits:
     max_nodes: int = 12    # total slots in the device graph
     max_gates: int = 5     # two-qubit gates in the circuit
 
+    def __post_init__(self):
+        for name in ("max_depth", "max_nodes", "max_gates"):
+            if type(value := getattr(self, name)) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, not {value!r}")
+
 
 @dataclass(frozen=True)
 class Infeasible:
@@ -68,61 +78,58 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
     """Minimum inserted-weight schedule by A* search, or Infeasible."""
     limits = limits or OracleLimits()
     gates = circuit.gates
-    two_q = [g.id for g in gates if g.is_two_qubit]
+    n_two_q = sum(g.is_two_qubit for g in gates)
     if graph.n_nodes > limits.max_nodes:
         raise ValueError(f"{graph.n_nodes} slots exceed the oracle limit {limits.max_nodes}")
-    if len(two_q) > limits.max_gates:
-        raise ValueError(f"{len(two_q)} two-qubit gates exceed the oracle limit")
+    if n_two_q > limits.max_gates:
+        raise ValueError(f"{n_two_q} two-qubit gates exceed the oracle limit")
 
     on_qubit = build_dag(circuit).on_qubit
-    preds: list[set[int]] = [set() for _ in gates]
+    preds = [0] * len(gates)  # bitmask of each gate's predecessors
     succ: list[set[int]] = [set() for _ in gates]
     for seq in on_qubit:
         for p, s in zip(seq, seq[1:]):
-            preds[s].add(p)
+            preds[s] |= 1 << p
             succ[p].add(s)
-    all_gates = frozenset(g.id for g in gates)
+    all_gates = (1 << len(gates)) - 1
     pairs = [g.qubits if g.is_two_qubit else None for g in gates]
 
     node_trap = graph.node_trap
-    hops = _trap_hops(graph)
-    moves = [(e.u, e.v, e.weight, EDGE_KINDS[cls])
+    bound = _hop_bound(circuit, graph)
+    moves = [(e.u, e.v, e.weight, EDGE_KINDS[cls], ((e.u, e.v),))
              for e, cls in zip(graph.edges, graph.edge_class.tolist())]
+    SHUTTLE, SWAP = EventKind.SHUTTLE, EventKind.SWAP
     # shrunk so that h * w_min stays below any float sum of h shuttle weights
     w_min = min((e.weight for e in graph.edges if e.is_shuttle), default=0.0) * (1 - 1e-9)
 
-    def close(slots: tuple, executed: frozenset, pending) -> tuple[frozenset, int]:
+    def close(traps: tuple, executed: int, pending) -> tuple[int, int]:
         """Run the gates in ``pending``, and the successors of any that run,
         once their predecessors have run and their qubits share a trap (the
-        rule of ``run_ready_gates``).  Returns the executed set and the bound
-        h: the most trap hops between the qubits of an unexecuted gate."""
-        done = set(executed)
+        rule of ``run_ready_gates``).  Returns the executed set and the bound."""
+        done = executed
         stack = list(pending)
         while stack:
             gid = stack.pop()
-            if gid in done or not preds[gid] <= done:
+            if done >> gid & 1 or preds[gid] & ~done:
                 continue
             pair = pairs[gid]
-            if pair and node_trap[slots.index(pair[0])] != node_trap[slots.index(pair[1])]:
+            if pair and traps[pair[0]] != traps[pair[1]]:
                 continue
-            done.add(gid)
+            done |= 1 << gid
             stack.extend(succ[gid])
-        h = 0
-        for gid in two_q:
-            if gid not in done:
-                a, b = pairs[gid]
-                h = max(h, hops[node_trap[slots.index(a)]][node_trap[slots.index(b)]])
-        return frozenset(done), h
+        return done, bound(traps, done)
 
     start_slots = tuple(MachineState(graph, mapping).slot_qubit)
-    start_exec, start_h = close(start_slots, frozenset(),
-                                [g.id for g in gates if not preds[g.id]])
+    start_traps = tuple(node_trap[mapping[q]] for q in range(circuit.n_qubits))
+    start_exec, start_h = close(start_traps, 0, [g.id for g in gates if not preds[g.id]])
     start_cost = (0.0, 0, 0)
     best_seen: dict[tuple, tuple] = {(start_slots, start_exec): (start_cost, ())}
-    heap = [((start_h * w_min, start_h, 0), (), start_cost, start_slots, start_exec, start_h)]
+    closed: dict[tuple, tuple[int, int]] = {}  # close's result per (traps, executed)
+    heap = [((start_h * w_min, start_h, 0), (), start_cost, start_slots, start_traps,
+             start_exec, start_h)]
 
     while heap:
-        _, path, cost, slots, executed, h = heapq.heappop(heap)
+        _, path, cost, slots, traps, executed, h = heapq.heappop(heap)
         if best_seen[(slots, executed)] < (cost, path):
             continue
         if executed == all_gates:
@@ -130,40 +137,42 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
         if len(path) >= limits.max_depth:
             continue
         weight, shuttles, swaps = cost
-        for u, v, w, kinds in moves:
-            kind = kinds[(slots[u] is not None) + (slots[v] is not None)]
+        for u, v, w, kinds, step in moves:
+            qu, qv = slots[u], slots[v]
+            kind = kinds[(qu is not None) + (qv is not None)]
             if kind is None:
                 continue
             new_slots = list(slots)
-            new_slots[u], new_slots[v] = slots[v], slots[u]
+            new_slots[u], new_slots[v] = qv, qu
             new_slots = tuple(new_slots)
-            if kind is EventKind.SHUTTLE:
-                # only a shuttle changes a qubit's trap: gates on the moved
-                # qubit may now run, and the bound may change
-                moved = slots[u] if slots[u] is not None else slots[v]
-                pending = [gid for gid in on_qubit[moved] if gid not in executed]
-                new_exec, new_h = close(new_slots, executed, pending) if pending \
-                    else (executed, h)
+            if kind is SHUTTLE:
+                # only a shuttle changes a trap, so only it can run gates or move h
+                moved, dest = (qu, v) if qu is not None else (qv, u)
+                new_traps = traps[:moved] + (node_trap[dest],) + traps[moved + 1:]
+                if (new_traps, executed) not in closed:
+                    closed[new_traps, executed] = close(new_traps, executed, on_qubit[moved])
+                new_exec, new_h = closed[new_traps, executed]
                 new_cost = (weight + w, shuttles + 1, swaps)
             else:
-                new_exec, new_h = executed, h
-                new_cost = (weight + w, shuttles, swaps + (kind is EventKind.SWAP))
-            new_path = path + ((u, v),)
+                new_traps, new_exec, new_h = traps, executed, h
+                new_cost = (weight + w, shuttles, swaps + (kind is SWAP))
+            new_path = path + step
             key = (new_slots, new_exec)
             seen = best_seen.get(key)
             if seen is not None and seen <= (new_cost, new_path):
                 continue
             best_seen[key] = (new_cost, new_path)
             heapq.heappush(heap, ((new_cost[0] + new_h * w_min, new_cost[1] + new_h,
-                                   new_cost[2]), new_path, new_cost, new_slots, new_exec,
-                                  new_h))
+                                   new_cost[2]), new_path, new_cost, new_slots, new_traps,
+                                  new_exec, new_h))
     return Infeasible(limits.max_depth)
 
 
-def _trap_hops(graph: DeviceGraph) -> list[list[int]]:
-    """Trap-to-trap hop counts over the shuttle paths, by BFS from each trap."""
+def _hop_bound(circuit: Circuit, graph: DeviceGraph):
+    """The search's bound h as a function of (each qubit's trap, executed-gate
+    mask), read off the maximal sets of qubit-disjoint two-qubit gates."""
     n = len(graph.topology.traps)
-    hops = []
+    hops = []  # trap-to-trap hop counts over the shuttle paths, by BFS
     for src in range(n):
         dist = {src: 0}
         queue = [src]
@@ -173,7 +182,18 @@ def _trap_hops(graph: DeviceGraph) -> list[list[int]]:
                     dist[nb] = dist[t] + 1
                     queue.append(nb)
         hops.append([dist[t] for t in range(n)])
-    return hops
+    two_q = [(g.id, g.qubits, 1 << g.qubits[0] | 1 << g.qubits[1])
+             for g in circuit.gates if g.is_two_qubit]
+    groups = [(0, 0)]  # (gate mask, qubit mask) of each qubit-disjoint set
+    for gid, _, qs in two_q:
+        groups += [(gm | 1 << gid, qm | qs) for gm, qm in groups if not qm & qs]
+    maximal = [[(gid, a, b) for gid, (a, b), _ in two_q if gm >> gid & 1]
+               for gm, qm in groups if all(gm >> gid & 1 or qm & qs for gid, _, qs in two_q)]
+
+    def bound(traps, executed: int) -> int:
+        return max(sum(hops[traps[a]][traps[b]] for gid, a, b in group
+                       if not executed >> gid & 1) for group in maximal)
+    return bound
 
 
 def _replay_path(circuit, graph, mapping, path) -> Schedule:
