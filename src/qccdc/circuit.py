@@ -212,16 +212,16 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
     def add(label, qubits, param=None):
         gates.append(Gate(len(gates), label, qubits, param))
 
-    # statements are ';'-terminated; track line numbers for diagnostics
+    # statements are ';'-terminated; track line numbers for diagnostics.
+    # Each line is split once and only its unterminated tail is carried
+    # forward, so a program written on one line parses in linear time.
     line_no = 0
     buffered = ""
     statements: list[tuple[int, str]] = []
     for raw in text.splitlines():
         line_no += 1
-        code = raw.split("//", 1)[0]
-        buffered += code
-        while ";" in buffered:
-            stmt, buffered = buffered.split(";", 1)
+        *done, buffered = (buffered + raw.split("//", 1)[0]).split(";")
+        for stmt in done:
             stmt = stmt.strip()
             if stmt:
                 statements.append((line_no, stmt))

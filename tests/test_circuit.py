@@ -44,6 +44,26 @@ def test_errors_carry_line_numbers():
         parse_qasm("OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\n")
 
 
+@pytest.mark.parametrize("text,line", [
+    ("OPENQASM 2.0; qreg q[2];\nh q[0]; cx q[0], q[1]; bogus q[0];\n", 2),
+    ("OPENQASM 2.0; qreg q[2]; h q[0];\nh q[1]; // bogus q[0];\nbogus q[1];\n", 3),
+    ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],\n  q[7];\n", 4),     # spans lines 3-4
+    ("qreg q[2]; cx q[0],\nq[1]; h q[5]; h q[0];\n", 2),
+    ("qreg q[2];\nh q[0]; h\nq[1]\n", 3),                   # unterminated
+])
+def test_line_numbers_with_several_statements_per_line(text, line):
+    """A statement's line is the one holding its ';'."""
+    with pytest.raises(QasmError) as exc:
+        parse_qasm(text)
+    assert exc.value.line == line
+
+
+def test_statements_share_and_span_lines():
+    c = parse_qasm("qreg q[2]; h q[0]; cx q[0],\nq[1]; rz(0.5) q[1]; // cx q[1], q[0];\n")
+    assert [(g.label, g.qubits) for g in c.gates] == [("h", (0,)), ("cx", (0, 1)),
+                                                      ("rz", (1,))]
+
+
 @pytest.mark.parametrize("text", [
     "qreg q[٣];\ncx q[٠], q[٢];\n",      # Arabic-Indic digits
     "qreg q[3];\ncx q[٠], q[2];\n",
