@@ -210,7 +210,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     rng = random.Random(args.seed)
-    limits = OracleLimits(max_depth=args.max_depth)
+    try:
+        limits = OracleLimits(max_depth=args.max_depth)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = []
     done = 0
     while done < args.n:

@@ -165,6 +165,13 @@ def test_negative_a0_exit_code(capsys):
     assert "a0 must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", ["-5", "0"])
+def test_oracle_check_bad_depth_exit_code(capsys, depth):
+    # --max-depth -5 used to exit 0, reporting only instances that need no move
+    assert main(["oracle-check", "--n", "3", "--max-depth", depth]) == 2
+    assert capsys.readouterr().err.startswith("error: max_depth must be an int >= 1")
+
+
 def test_compile_full_device_exit_code(capsys):
     # even division fills both traps, so no qubit can be shuttled
     assert main(["compile", "--gen", "qft:8", "--topology", "L2:4", "--mapping", "even"]) == 2

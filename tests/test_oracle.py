@@ -9,6 +9,7 @@ from qccdc import (BoundMode, Circuit, Gate, Infeasible, OracleLimits,
                    to_graph)
 from qccdc.device import EDGE_KINDS
 from qccdc.events import EventKind
+from qccdc.oracle import _hop_bound
 from qccdc.state import MachineState
 
 
@@ -130,6 +131,15 @@ def test_infeasible_within_depth():
     assert isinstance(res, Infeasible)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_depth", 2.5), ("max_depth", -5), ("max_depth", 0), ("max_depth", True),
+    ("max_nodes", "12"), ("max_gates", None), ("max_gates", 0),
+])
+def test_limits_must_be_positive_ints(field, value):
+    with pytest.raises(ValueError, match=field):
+        OracleLimits(**{field: value})
+
+
 def test_limits_enforced():
     g = to_graph(linear_topology(3, 5), WeightParams())
     c = Circuit(2, (Gate(0, "cx", (0, 1)),))
@@ -190,3 +200,75 @@ def test_tie_break_is_the_smaller_edge_sequence():
     moves = [tuple(sorted(e.slots)) for e in s.events if e.kind.value != "gate"]
     assert moves == [(2, 3), (6, 7), (5, 6)]
     assert not replay(s)
+
+
+def bounds_along(circuit, graph, mapping, events):
+    """``_hop_bound`` before the first event and after each one, with the
+    kind of that event and the shuttles left after it."""
+    bound = _hop_bound(circuit, graph)
+    state = MachineState(graph, mapping)
+    executed = 0
+    left = sum(ev.kind is EventKind.SHUTTLE for ev in events)
+
+    def now():
+        traps = [graph.node_trap[state.mapping[q]] for q in range(circuit.n_qubits)]
+        return bound(traps, executed)
+    out = [(None, now(), left)]
+    for ev in events:
+        if ev.kind is EventKind.GATE:
+            executed |= 1 << ev.gate_id
+        else:
+            state.apply_generic_swap(graph.edge(*ev.slots))
+            left -= ev.kind is EventKind.SHUTTLE
+        out.append((ev.kind, now(), left))
+    return out
+
+
+def test_start_bound_is_at_most_the_optimal_shuttle_count():
+    rng = random.Random(4)
+    positive = 0
+    for _ in range(100):
+        c, g, m = random_instance(rng, max_traps=4, max_gates=5)
+        ref = reference_exact(c, g, m, OracleLimits(max_depth=4))
+        if isinstance(ref, Infeasible):
+            continue
+        start = bounds_along(c, g, m, [])[0][1]
+        assert start <= ref[1]
+        positive += start > 0
+    assert positive >= 30
+
+
+def test_bound_is_consistent_along_schedules():
+    """Along optimal and heuristic schedules the bound never exceeds the
+    shuttles still to come, drops by at most 1 per shuttle and does not move
+    on a SWAP, a space shift or a gate."""
+    rng = random.Random(8)
+    shuttles = 0
+    for _ in range(100):
+        c, g, m = random_instance(rng, max_gates=5)
+        opt = exact_schedule(c, g, m)
+        for sched in ([] if isinstance(opt, Infeasible) else [opt]) + [schedule(c, g, m)]:
+            steps = bounds_along(c, g, m, sched.events)
+            for (_, before, _), (kind, after, left) in zip(steps, steps[1:]):
+                assert after <= left
+                if kind is EventKind.SHUTTLE:
+                    assert after >= before - 1
+                    shuttles += 1
+                else:
+                    assert after == before
+    assert shuttles >= 200
+
+
+def test_bound_sums_hops_over_qubit_disjoint_gates():
+    """Two qubit-disjoint gates, each one trap hop apart: the bound is 2,
+    where the largest hop count of any one gate is 1."""
+    g = to_graph(linear_topology(2, 3), WeightParams())
+    gates = (Gate(0, "cx", (0, 1)), Gate(1, "cx", (2, 3)))
+    c = Circuit(4, gates)
+    mapping = {0: 0, 2: 1, 1: 3, 3: 4}
+    traps = [g.node_trap[mapping[q]] for q in range(4)]
+    bound = _hop_bound(c, g)
+    assert bound(traps, 0) == 2
+    # with every other gate executed, the bound is one gate's hop count
+    assert max(bound(traps, 0b11 ^ 1 << gate.id) for gate in gates) == 1
+    assert optimum(exact_schedule(c, g, mapping))[1] >= 2
