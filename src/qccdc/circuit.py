@@ -220,8 +220,9 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
     statements: list[tuple[int, str]] = []
     for raw in text.splitlines():
         line_no += 1
-        *done, buffered = (buffered + raw.split("//", 1)[0]).split(";")
-        for stmt in done:
+        pieces = (buffered + raw.split("//", 1)[0]).split(";")
+        buffered = pieces.pop()
+        for stmt in pieces:
             stmt = stmt.strip()
             if stmt:
                 statements.append((line_no, stmt))
