@@ -8,22 +8,21 @@ weight (the heuristic's own currency), then fewer shuttles, then fewer SWAP
 gates.
 
 The lower bound h is the largest sum of trap hops over any set of
-unexecuted two-qubit gates on pairwise disjoint qubits; ``_hop_bound``
-lists the maximal such sets once per call.  Disjoint gates need disjoint
-shuttles, each weighing at least w_min, the smallest shuttle-edge weight,
-so a state is pushed with key ``(weight + h * w_min, shuttles + h,
-swaps)``; w_min is shrunk by a factor ``1 - 1e-9`` so that the float
-product never rounds above an exact float sum of h shuttle weights.  The
-bound is consistent: a shuttle moves one qubit one hop, so it lowers each
-set's sum by at most 1 while adding at least w_min and one shuttle; a gate
-runs only at 0 hops; a SWAP or a space shift moves no qubit between traps.
-With a consistent bound A* still returns the least (cost, path) under the
-dedup and depth rules below, so the bound sets how many states are
-expanded, not the result.  A state carries its executed set as a bitmask
-and each qubit's trap as a tuple.  After a shuttle, closure and h start
-from the gates on the moved qubit; as the executed set was closed before
-the move, they depend only on the new traps and the executed set, and are
-computed once per such pair in each call.
+unexecuted two-qubit gates on pairwise disjoint qubits (``_hop_bound``).
+Disjoint gates need disjoint shuttles, each weighing at least w_min, the
+smallest shuttle-edge weight, so a state is pushed with key ``(weight + h
+* w_min, shuttles + h, swaps)``; w_min is shrunk by a factor ``1 - 1e-9``
+so that the float product never rounds above an exact float sum of h
+shuttle weights.  The bound is consistent: a shuttle moves one qubit one
+hop, so it lowers each set's sum by at most 1 while adding at least w_min
+and one shuttle; a gate runs only at 0 hops; a SWAP or a space shift moves
+no qubit between traps.  With a consistent bound A* still returns the
+least (cost, path) under the dedup and depth rules below, so the bound
+sets how many states are expanded, not the result.  States carry each
+qubit's trap; after a shuttle, closure and h start from the gates on the
+moved qubit, and as the executed set was closed before the move, they
+depend only on the new traps and the executed set and are computed once
+per such pair in each call.
 
 Ties between equal-cost paths are broken by the edge sequence itself, each
 edge written (u, v) with u < v and sequences compared lexicographically:
@@ -83,6 +82,8 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
         raise ValueError(f"{graph.n_nodes} slots exceed the oracle limit {limits.max_nodes}")
     if n_two_q > limits.max_gates:
         raise ValueError(f"{n_two_q} two-qubit gates exceed the oracle limit")
+    if missing := [q for q in range(circuit.n_qubits) if q not in mapping]:
+        raise ValueError(f"qubit {missing[0]} is not placed by the initial mapping")
 
     on_qubit = build_dag(circuit).on_qubit
     preds = [0] * len(gates)  # bitmask of each gate's predecessors
@@ -103,9 +104,8 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
     w_min = min((e.weight for e in graph.edges if e.is_shuttle), default=0.0) * (1 - 1e-9)
 
     def close(traps: tuple, executed: int, pending) -> tuple[int, int]:
-        """Run the gates in ``pending``, and the successors of any that run,
-        once their predecessors have run and their qubits share a trap (the
-        rule of ``run_ready_gates``).  Returns the executed set and the bound."""
+        """Run ``pending`` and the successors of what runs, once their
+        predecessors ran and their qubits share a trap; return (executed, h)."""
         done = executed
         stack = list(pending)
         while stack:

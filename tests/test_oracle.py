@@ -145,6 +145,9 @@ def test_limits_enforced():
     c = Circuit(2, (Gate(0, "cx", (0, 1)),))
     with pytest.raises(ValueError):
         exact_schedule(c, g, {0: 0, 1: 1})  # 15 slots > max_nodes
+    g = two_trap_setup()
+    with pytest.raises(ValueError, match="qubit 2 is not placed"):
+        exact_schedule(Circuit(3, (Gate(0, "cx", (0, 1)),)), g, {0: 0, 1: 3})
 
 
 def test_oracle_never_beaten_by_heuristic():
