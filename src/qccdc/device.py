@@ -11,6 +11,12 @@ pair has one edge, and ``trap_dist`` holds the cheapest route cost between
 every two traps.  Each edge's class is set as the edge is built; the class
 and the edge's occupied endpoints decide its generic swap: the
 ``EventKind`` in ``EDGE_KINDS``, or None where it allows none.
+
+Edges are numbered in closed form.  The intra edges come first, trap by
+trap, each trap's slot pairs ``(i, j)``, ``i < j``, in row-major order, as
+``np.triu_indices`` lists them; the per-edge arrays are built from those
+index arrays, and ``edge_id`` finds an intra pair's index by arithmetic.
+Only the few shuttle edges, which follow, are found through a dict.
 """
 
 from __future__ import annotations
@@ -70,6 +76,11 @@ class Topology:
             if t.capacity < 2:
                 raise ValueError(f"trap {t.id} capacity {t.capacity} < 2")
         jun_ids = {j.id for j in self.junctions}
+        if len(jun_ids) != len(self.junctions):
+            raise ValueError("junction ids must be distinct")
+        for j in self.junctions:
+            if j.degree < 1:
+                raise ValueError(f"junction {j.id} degree {j.degree} < 1")
         for p in self.paths:
             if not (0 <= p.trap_a < len(self.traps) and 0 <= p.trap_b < len(self.traps)):
                 raise ValueError(f"path {p.trap_a}-{p.trap_b} references an unknown trap")
@@ -102,12 +113,6 @@ class Topology:
         """The same device with every trap holding ``capacity`` slots."""
         return Topology(tuple(Trap(t.id, capacity) for t in self.traps), self.paths,
                         self.junctions)
-
-    def junction(self, jid: int) -> Junction:
-        for j in self.junctions:
-            if j.id == jid:
-                return j
-        raise KeyError(jid)
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ EDGE_KINDS = (
 VALID_SWAP = np.array([[k is not None for k in row] for row in EDGE_KINDS])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Edge:
     u: int
     v: int
@@ -210,45 +215,64 @@ class DeviceGraph:
             np.minimum(self.trap_dist, self.trap_dist[:, k:k + 1] + self.trap_dist[k],
                        out=self.trap_dist)
 
-        self.edges: list[Edge] = []
+        # intra edges, trap by trap: the slot pairs (i, j), i < j, in
+        # row-major order, so an intra edge's index is arithmetic (see
+        # ``edge_id``); every intra weight is the float64 product
+        # inner_weight * (j - i), bit-equal to the same product in Python
+        self._intra_base: list[int] = []
+        us, vs = [], []
+        n_intra = 0
         for trap in topology.traps:
-            slots = self.trap_slots[trap.id]
-            for i in range(len(slots)):
-                for j in range(i + 1, len(slots)):
-                    self.edges.append(Edge(slots[i], slots[j], params.inner_weight * (j - i)))
-        n_intra = len(self.edges)
+            i, j = np.triu_indices(trap.capacity, 1)
+            first = self.trap_slots[trap.id][0]
+            self._intra_base.append(n_intra)
+            n_intra += len(i)
+            us.append(i + first)
+            vs.append(j + first)
+        intra_u, intra_v = np.concatenate(us), np.concatenate(vs)
+        intra_w = params.inner_weight * (intra_v - intra_u)
+        self.edges: list[Edge] = list(map(Edge, intra_u.tolist(), intra_v.tolist(),
+                                          intra_w.tolist()))
+        # the shuttle edges follow, the only ones found through a dict:
+        # (u, v) with u < v -> index into ``edges`` and the per-edge arrays
+        self._shuttle_index: dict[tuple[int, int], int] = {}
         for path in trap_paths.values():
             w = params.shuttle_base * (len(path.junctions) + 1)
-            ends_a = self._end_slots(path.trap_a)
-            ends_b = self._end_slots(path.trap_b)
-            for u in ends_a:
-                for v in ends_b:
+            for u in self._end_slots(path.trap_a):
+                for v in self._end_slots(path.trap_b):
                     a, b = (u, v) if u < v else (v, u)
-                    self.edges.append(Edge(a, b, w, segments=path.segments,
-                                           junctions=path.junctions))
-        # (u, v) with u < v -> index into ``edges`` and the per-edge arrays
-        self._edge_index = {(e.u, e.v): i for i, e in enumerate(self.edges)}
+                    self._shuttle_index[a, b] = len(self.edges)
+                    self.edges.append(Edge(a, b, w, path.segments, path.junctions))
+        shuttles = self.edges[n_intra:]
+        # each junction's degree, read for every shuttle event
+        self.junction_degree = {j.id: j.degree for j in topology.junctions}
 
         # static per-edge arrays, in edge order: endpoints, weights, and the
         # class that with the number of occupied endpoints decides the edge's
-        # kind (see ``EDGE_KINDS``); the intra edges come first, and an
-        # intra edge joins adjacent slots when its node ids differ by one
-        self.edge_u = np.array([e.u for e in self.edges], dtype=np.intp)
-        self.edge_v = np.array([e.v for e in self.edges], dtype=np.intp)
-        self.edge_weight = np.array([e.weight for e in self.edges], dtype=float)
+        # kind (see ``EDGE_KINDS``); an intra edge joins adjacent slots when
+        # its node ids differ by one
+        self.edge_u = np.concatenate((intra_u, np.array([e.u for e in shuttles], np.intp)))
+        self.edge_v = np.concatenate((intra_v, np.array([e.v for e in shuttles], np.intp)))
+        self.edge_weight = np.concatenate((intra_w, np.array([e.weight for e in shuttles])))
         self.edge_class = np.full(len(self.edges), SHUTTLE_EDGE, dtype=np.intp)
-        self.edge_class[:n_intra] = np.where(
-            self.edge_v[:n_intra] - self.edge_u[:n_intra] == 1, ADJACENT_EDGE, INTRA_EDGE)
+        self.edge_class[:n_intra] = np.where(intra_v - intra_u == 1, ADJACENT_EDGE, INTRA_EDGE)
 
     def _end_slots(self, trap_id: int) -> tuple[int, int]:
         slots = self.trap_slots[trap_id]
         return slots[0], slots[-1]
 
     def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        if key not in self._edge_index:
+        a, b = (u, v) if u < v else (v, u)
+        if 0 <= a < b < self.n_nodes:
+            trap = self.node_trap[a]
+            if trap == self.node_trap[b]:
+                i, j = self.node_pos[a], self.node_pos[b]
+                c = len(self.trap_slots[trap])
+                return self._intra_base[trap] + i * (2 * c - i - 1) // 2 + (j - i - 1)
+        index = self._shuttle_index.get((a, b))
+        if index is None:
             raise KeyError(f"no edge between nodes {u} and {v}")
-        return self._edge_index[key]
+        return index
 
     def edge(self, u: int, v: int) -> Edge:
         return self.edges[self.edge_id(u, v)]

@@ -199,6 +199,22 @@ def test_malformed_topology_json_exit_code(tmp_path, capsys, data):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("junctions, message", [
+    # degree -1000 used to exit 0 with a shuttle of -19,795 us
+    ([{"id": 0, "degree": -1000}], "junction 0 degree -1000 < 1"),
+    ([{"id": 0, "degree": 0}], "junction 0 degree 0 < 1"),
+    ([{"id": 0, "degree": 2}, {"id": 0, "degree": 9}], "junction ids must be distinct"),
+])
+def test_bad_junction_exit_code(tmp_path, capsys, junctions, message):
+    topo = tmp_path / "t.json"
+    topo.write_text(json.dumps({
+        "traps": [{"id": 0, "capacity": 4}, {"id": 1, "capacity": 4}],
+        "junctions": junctions,
+        "paths": [{"trap_a": 0, "trap_b": 1, "junctions": [0]}]}))
+    assert main(["compile", "--gen", "qft:4", "--topology", str(topo)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_capacity_axis(tmp_path, monkeypatch):
     monkeypatch.setenv("QCCD_SYNC_THREADS", "1")
     out = tmp_path / "sweep.csv"

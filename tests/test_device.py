@@ -3,11 +3,15 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qccdc import (EventKind, MachineState, WeightParams, grid_topology, linear_topology,
-                   parse_topology_spec, star_topology, to_graph, topology_from_json)
-from qccdc.device import SHUTTLE_EDGE
+from qccdc import (EventKind, EventRecord, MachineState, MappingParams, WeightParams,
+                   grid_topology, initial_mapping, linear_topology, parse_topology_spec,
+                   replay, schedule, star_topology, to_graph, topology_from_json)
+from qccdc.bench import qft
+from qccdc.device import ADJACENT_EDGE, INTRA_EDGE, SHUTTLE_EDGE
+from qccdc.scheduler import Schedule
 
 
 def test_linear_structure():
@@ -15,7 +19,8 @@ def test_linear_structure():
     assert len(topo.traps) == 4
     assert len(topo.paths) == 3
     assert all(len(p.junctions) == 1 for p in topo.paths)
-    assert all(topo.junction(j).degree == 2 for p in topo.paths for j in p.junctions)
+    degree = to_graph(topo).junction_degree
+    assert all(degree[j] == 2 for p in topo.paths for j in p.junctions)
 
 
 def test_grid_junction_degrees():
@@ -182,3 +187,149 @@ def test_invalid_topologies():
 def test_malformed_topology_json_raises_value_error(data):
     with pytest.raises(ValueError):
         topology_from_json(data)
+
+
+def test_junction_ids_must_be_distinct():
+    data = {"traps": [{"id": 0, "capacity": 3}, {"id": 1, "capacity": 3}],
+            "junctions": [{"id": 0, "degree": 2}, {"id": 0, "degree": 5}],
+            "paths": [{"trap_a": 0, "trap_b": 1, "junctions": [0]}]}
+    with pytest.raises(ValueError, match="junction ids must be distinct"):
+        topology_from_json(data)
+
+
+@pytest.mark.parametrize("degree", [0, -1, -1000])
+def test_junction_degree_below_one_is_rejected(degree):
+    # a degree of -1000 used to compile, with a shuttle of negative duration
+    data = {"traps": [{"id": 0, "capacity": 3}, {"id": 1, "capacity": 3}],
+            "junctions": [{"id": 0, "degree": degree}],
+            "paths": [{"trap_a": 0, "trap_b": 1, "junctions": [0]}]}
+    with pytest.raises(ValueError, match=f"junction 0 degree {degree} < 1"):
+        topology_from_json(data)
+
+
+def test_degree_one_junctions_are_valid():
+    topo = parse_topology_spec("G1x2:4")
+    assert {j.degree for j in topo.junctions} == {1}
+    assert to_graph(topo).junction_degree == {0: 1, 1: 1}
+
+
+# explicit devices of mixed capacities, several paths between the same two
+# traps (the cheapest wins, the first listed on a tie), paths listed from the
+# higher trap id, and a device of one trap with no shuttle edge at all
+MIXED = topology_from_json({
+    "traps": [{"id": 0, "capacity": 2}, {"id": 1, "capacity": 5},
+              {"id": 2, "capacity": 3}, {"id": 3, "capacity": 7}],
+    "junctions": [{"id": 4, "degree": 3}, {"id": 9, "degree": 1}, {"id": 2, "degree": 4}],
+    "paths": [{"trap_a": 1, "trap_b": 0, "segments": 3, "junctions": [4, 9]},
+              {"trap_a": 0, "trap_b": 1, "segments": 2, "junctions": [2]},
+              {"trap_a": 0, "trap_b": 1, "segments": 1, "junctions": [4]},
+              {"trap_a": 3, "trap_b": 1, "segments": 2},
+              {"trap_a": 1, "trap_b": 3, "segments": 2},
+              {"trap_a": 2, "trap_b": 1, "segments": 1, "junctions": [2, 4, 9]},
+              {"trap_a": 3, "trap_b": 2, "segments": 4, "junctions": [9]}],
+})
+ONE_TRAP = topology_from_json({"traps": [{"id": 0, "capacity": 6}], "paths": []})
+GRAPH_CASES = [
+    (linear_topology(4, 5), WeightParams()),
+    (grid_topology(2, 3, 4), WeightParams()),
+    (star_topology(4, 3), WeightParams()),
+    (parse_topology_spec("L9:30"), WeightParams()),
+    (parse_topology_spec("G3x3:30"), WeightParams()),
+    (parse_topology_spec("S9:30"), WeightParams()),
+    (MIXED, WeightParams()),
+    (MIXED, WeightParams(inner_weight=0.1 / 3, shuttle_base=1.7)),
+    (ONE_TRAP, WeightParams(inner_weight=0.07)),
+]
+
+
+def loop_built_edges(topology, params):
+    """The slot graph's edges as nested Python loops build them, in edge
+    order: (u, v, weight, segments, junctions).  Intra edges trap by trap,
+    slot pairs in row-major order; then, per trap pair in the order its
+    first path is listed, the cheapest path's four end-slot edges."""
+    slots, n = {}, 0
+    for trap in topology.traps:
+        slots[trap.id] = list(range(n, n + trap.capacity))
+        n += trap.capacity
+    trap_paths = {}
+    for path in topology.paths:
+        key = (min(path.trap_a, path.trap_b), max(path.trap_a, path.trap_b))
+        old = trap_paths.get(key)
+        if old is None or ((len(path.junctions), path.segments)
+                           < (len(old.junctions), old.segments)):
+            trap_paths[key] = path
+    edges = []
+    for trap in topology.traps:
+        s = slots[trap.id]
+        for i in range(len(s)):
+            for j in range(i + 1, len(s)):
+                edges.append((s[i], s[j], params.inner_weight * (j - i), 0, ()))
+    for path in trap_paths.values():
+        w = params.shuttle_base * (len(path.junctions) + 1)
+        for u in (slots[path.trap_a][0], slots[path.trap_a][-1]):
+            for v in (slots[path.trap_b][0], slots[path.trap_b][-1]):
+                edges.append((min(u, v), max(u, v), w, path.segments, path.junctions))
+    return edges
+
+
+@pytest.mark.parametrize("topology, params", GRAPH_CASES)
+def test_array_built_graph_equals_the_loop_built_one(topology, params):
+    """Same edges in the same order, every weight equal under ``==`` (so
+    bit-equal), and the per-edge arrays read the same edges."""
+    graph = to_graph(topology, params)
+    expected = loop_built_edges(topology, params)
+    assert [(e.u, e.v, e.weight, e.segments, e.junctions) for e in graph.edges] == expected
+    assert all(type(e.u) is int and type(e.v) is int and type(e.weight) is float
+               for e in graph.edges)
+    assert graph.edge_u.dtype == graph.edge_v.dtype == graph.edge_class.dtype == np.intp
+    assert graph.edge_u.tolist() == [e[0] for e in expected]
+    assert graph.edge_v.tolist() == [e[1] for e in expected]
+    assert graph.edge_weight.tolist() == [e[2] for e in expected]
+    assert graph.edge_class.tolist() == [
+        SHUTTLE_EDGE if seg else ADJACENT_EDGE if v - u == 1 else INTRA_EDGE
+        for u, v, _, seg, _ in expected]
+
+
+@pytest.mark.parametrize("topology, params", GRAPH_CASES)
+def test_edge_id_finds_every_edge_from_either_end(topology, params):
+    graph = to_graph(topology, params)
+    for i, e in enumerate(graph.edges):
+        assert graph.edge_id(e.u, e.v) == graph.edge_id(e.v, e.u) == i
+        assert graph.edge(e.v, e.u) is e
+
+
+@pytest.mark.parametrize("topology", [MIXED, ONE_TRAP, linear_topology(3, 3)])
+def test_edge_id_raises_key_error_where_no_edge_is(topology):
+    graph = to_graph(topology)
+    index = {(e.u, e.v): i for i, e in enumerate(graph.edges)}
+    n = graph.n_nodes
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            i = index.get((min(u, v), max(u, v)))
+            if i is None:
+                with pytest.raises(KeyError, match=f"no edge between nodes {u} and {v}"):
+                    graph.edge_id(u, v)
+            else:
+                assert graph.edge_id(u, v) == i
+
+
+def test_edge_id_rejects_unjoined_end_slots():
+    # L3:3 joins traps 0 and 2 only through trap 1: slots 2 and 6 are end
+    # slots of traps with no path between them
+    graph = to_graph(parse_topology_spec("L3:3"))
+    for u, v in ((2, 6), (6, 2), (0, 8), (3, 3), (-1, 0), (0, -1), (8, 9), (9, 0)):
+        with pytest.raises(KeyError):
+            graph.edge_id(u, v)
+    assert graph.edge(2, 3).is_shuttle and graph.edge(6, 5).is_shuttle
+
+
+def test_replay_reports_a_move_between_unjoined_slots():
+    c = qft(4)
+    g = to_graph(parse_topology_spec("L3:3"), WeightParams())
+    s = schedule(c, g, initial_mapping(c, g, MappingParams()))
+    assert replay(s) == []
+    for slots in ((2, 6), (-1, 0), (8, 9)):
+        stray = EventRecord(EventKind.SHUTTLE, qubits=(0,), slots=slots)
+        bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping)
+        assert replay(bad) == [f"event 0 (shuttle): no edge joins slots {slots[0]} and "
+                               f"{slots[1]}"]

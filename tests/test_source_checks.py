@@ -21,15 +21,22 @@ a digest was taken.  No code of the program assigns or deletes an attribute
 named like an event field (outside a class's own ``self``), by statement or
 by ``setattr``; changed events are derived with ``dataclasses.replace``.
 ``Gate`` is slotted and mutable too, and the same check holds for the
-names of its fields: a circuit's gates stay as parsed or generated.
+names of its fields: a circuit's gates stay as parsed or generated.  So is
+the graph's ``Edge``, whose fields must match the graph's per-edge arrays:
+no code writes an edge field either.  A slotted, non-frozen dataclass is
+not hashable, so nothing may hash an edge or a gate; the tier-1 runs of
+every compile path would raise ``TypeError`` if anything did.
 """
 
 import ast
 import dataclasses
 from pathlib import Path
 
+import pytest
+
 import qccdc
 from qccdc.circuit import Gate
+from qccdc.device import Edge
 from qccdc.events import EventRecord
 
 SRC = Path(qccdc.__file__).parent
@@ -177,6 +184,7 @@ def test_the_import_check_sees_what_it_forbids(tmp_path):
 
 EVENT_FIELDS = frozenset(f.name for f in dataclasses.fields(EventRecord))
 GATE_FIELDS = frozenset(f.name for f in dataclasses.fields(Gate))
+EDGE_FIELDS = frozenset(f.name for f in dataclasses.fields(Edge))
 
 
 def field_writes(path, fields):
@@ -260,3 +268,37 @@ def test_the_gate_write_check_sees_what_it_forbids(tmp_path):
         "bad.py:10: delattr(g, 'label')", "bad.py:11: object.__setattr__(g, 'id', 3)",
         "bad.py:12: g.__delattr__('qubits')", "bad.py:15: type(g).__setattr__(g, 'id', 3)",
         "bad.py:16: __setattr__(g, 'param', 0.5)"]
+
+
+def test_no_code_changes_an_edge_after_it_is_built():
+    assert EDGE_FIELDS == {"u", "v", "weight", "segments", "junctions"}
+    paths = [p for d in PROGRAM for p in sorted(d.rglob("*.py"))]
+    assert paths
+    assert [o for p in paths for o in field_writes(p, EDGE_FIELDS)] == []
+
+
+def test_the_edge_write_check_sees_what_it_forbids(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("class Ok:\n"
+                   "    def __init__(self):\n"
+                   "        self.u, self.v = 0, 1\n"
+                   "def f(graph, e, path):\n"
+                   "    graph.edges[3].weight *= 2\n"
+                   "    del e.segments\n"
+                   "    setattr(e, 'junctions', ())\n"
+                   "    Edge.__setattr__(e, 'weight', 0.0)\n"
+                   "    e.__delattr__('v')\n"
+                   "    e.kind = None\n"
+                   "    setattr(graph, 'edge_u', None)\n"
+                   "    e.u, e.v = e.v, e.u\n"
+                   "    return e.u, path.segments\n")
+    assert field_writes(bad, EDGE_FIELDS) == [
+        "bad.py:5: graph.edges[3].weight", "bad.py:6: e.segments",
+        "bad.py:7: setattr(e, 'junctions', ())", "bad.py:8: Edge.__setattr__(e, 'weight', 0.0)",
+        "bad.py:9: e.__delattr__('v')", "bad.py:12: e.u", "bad.py:12: e.v"]
+
+
+def test_an_edge_is_not_hashable():
+    edge = qccdc.to_graph(qccdc.linear_topology(2, 2)).edges[0]
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(edge)
