@@ -13,10 +13,14 @@ and the edge's occupied endpoints decide its generic swap: the
 ``EventKind`` in ``EDGE_KINDS``, or None where it allows none.
 
 Edges are numbered in closed form.  The intra edges come first, trap by
-trap, each trap's slot pairs ``(i, j)``, ``i < j``, in row-major order, as
-``np.triu_indices`` lists them; the per-edge arrays are built from those
-index arrays, and ``edge_id`` finds an intra pair's index by arithmetic.
-Only the few shuttle edges, which follow, are found through a dict.
+trap, each trap's slot pairs ``(i, j)``, ``i < j``, in row-major order: the
+row of slot ``u`` holds its pairs with the later slots of its trap, so the
+pair ``(u, v)`` is edge ``row_start[u] + v - u - 1``, where ``row_start[u]``
+is the trap's first intra edge plus ``i * (2c - i - 1) // 2`` for slot
+position ``i`` in a trap of capacity ``c``.  The per-edge arrays are built
+from index arrays in that order, and ``edge_id`` finds an intra pair by that
+arithmetic.  Only the few shuttle edges, which follow, are found through a
+dict.
 """
 
 from __future__ import annotations
@@ -215,26 +219,22 @@ class DeviceGraph:
             np.minimum(self.trap_dist, self.trap_dist[:, k:k + 1] + self.trap_dist[k],
                        out=self.trap_dist)
 
-        # intra edges, trap by trap: the slot pairs (i, j), i < j, in
-        # row-major order, so an intra edge's index is arithmetic (see
-        # ``edge_id``); every intra weight is the float64 product
-        # inner_weight * (j - i), bit-equal to the same product in Python
-        self._intra_base: list[int] = []
-        us, vs = [], []
-        n_intra = 0
-        for trap in topology.traps:
-            i, j = np.triu_indices(trap.capacity, 1)
-            first = self.trap_slots[trap.id][0]
-            self._intra_base.append(n_intra)
-            n_intra += len(i)
-            us.append(i + first)
-            vs.append(j + first)
-        intra_u, intra_v = np.concatenate(us), np.concatenate(vs)
-        intra_w = params.inner_weight * (intra_v - intra_u)
+        # intra edges in closed form (see the module docstring): slot u's
+        # row starts at edge ``_row_start[u]``, and each weight is a float64
+        # product, bit-equal to inner_weight * (v - u) in Python
+        caps = [t.capacity for t in topology.traps]
+        nodes = np.arange(self.n_nodes)
+        row_len = np.repeat(np.cumsum(caps), caps) - nodes - 1
+        row_start = np.cumsum(row_len) - row_len
+        n_intra = int(row_len.sum())
+        gap = np.arange(1, n_intra + 1) - np.repeat(row_start, row_len)  # v - u
+        intra_u = np.repeat(nodes, row_len)
+        intra_v = intra_u + gap
+        intra_w = params.inner_weight * gap
+        self._row_start: list[int] = row_start.tolist()
         self.edges: list[Edge] = list(map(Edge, intra_u.tolist(), intra_v.tolist(),
                                           intra_w.tolist()))
-        # the shuttle edges follow, the only ones found through a dict:
-        # (u, v) with u < v -> index into ``edges`` and the per-edge arrays
+        # shuttle edges: (u, v) with u < v -> index into ``edges`` and the arrays
         self._shuttle_index: dict[tuple[int, int], int] = {}
         for path in trap_paths.values():
             w = params.shuttle_base * (len(path.junctions) + 1)
@@ -255,7 +255,7 @@ class DeviceGraph:
         self.edge_v = np.concatenate((intra_v, np.array([e.v for e in shuttles], np.intp)))
         self.edge_weight = np.concatenate((intra_w, np.array([e.weight for e in shuttles])))
         self.edge_class = np.full(len(self.edges), SHUTTLE_EDGE, dtype=np.intp)
-        self.edge_class[:n_intra] = np.where(intra_v - intra_u == 1, ADJACENT_EDGE, INTRA_EDGE)
+        self.edge_class[:n_intra] = np.where(gap == 1, ADJACENT_EDGE, INTRA_EDGE)
 
     def _end_slots(self, trap_id: int) -> tuple[int, int]:
         slots = self.trap_slots[trap_id]
@@ -263,12 +263,8 @@ class DeviceGraph:
 
     def edge_id(self, u: int, v: int) -> int:
         a, b = (u, v) if u < v else (v, u)
-        if 0 <= a < b < self.n_nodes:
-            trap = self.node_trap[a]
-            if trap == self.node_trap[b]:
-                i, j = self.node_pos[a], self.node_pos[b]
-                c = len(self.trap_slots[trap])
-                return self._intra_base[trap] + i * (2 * c - i - 1) // 2 + (j - i - 1)
+        if 0 <= a < b < self.n_nodes and self.node_trap[a] == self.node_trap[b]:
+            return self._row_start[a] + b - a - 1
         index = self._shuttle_index.get((a, b))
         if index is None:
             raise KeyError(f"no edge between nodes {u} and {v}")

@@ -128,8 +128,7 @@ class MachineState:
             src_node, dst_node = (u, v) if qu is not None else (v, u)
             src, dst = self.graph.node_trap[src_node], self.graph.node_trap[dst_node]
             self._exchange(u, v)
-            degree = self.graph.junction_degree
-            degs = tuple(degree[j] for j in edge.junctions)
+            degs = tuple(self.graph.junction_degree[j] for j in edge.junctions)
             return EventRecord(kind, qubits=(mover,), slots=(src_node, dst_node),
                                traps=(src, dst), segments=edge.segments,
                                junction_ids=edge.junctions, junction_degrees=degs,

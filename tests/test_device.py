@@ -6,12 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qccdc import (EventKind, EventRecord, MachineState, MappingParams, WeightParams,
-                   grid_topology, initial_mapping, linear_topology, parse_topology_spec,
-                   replay, schedule, star_topology, to_graph, topology_from_json)
-from qccdc.bench import qft
+from qccdc import (EventKind, MachineState, WeightParams, grid_topology, linear_topology,
+                   parse_topology_spec, star_topology, to_graph, topology_from_json)
 from qccdc.device import ADJACENT_EDGE, INTRA_EDGE, SHUTTLE_EDGE
-from qccdc.scheduler import Schedule
 
 
 def test_linear_structure():
@@ -300,6 +297,9 @@ def test_edge_id_finds_every_edge_from_either_end(topology, params):
 
 @pytest.mark.parametrize("topology", [MIXED, ONE_TRAP, linear_topology(3, 3)])
 def test_edge_id_raises_key_error_where_no_edge_is(topology):
+    """Every pair of ids from -2 to n_nodes + 1: u == v, a negative id, an id
+    past the last slot, and (on L3:3) the end slots of traps 0 and 2, which
+    no path joins, have no edge."""
     graph = to_graph(topology)
     index = {(e.u, e.v): i for i, e in enumerate(graph.edges)}
     n = graph.n_nodes
@@ -311,25 +311,3 @@ def test_edge_id_raises_key_error_where_no_edge_is(topology):
                     graph.edge_id(u, v)
             else:
                 assert graph.edge_id(u, v) == i
-
-
-def test_edge_id_rejects_unjoined_end_slots():
-    # L3:3 joins traps 0 and 2 only through trap 1: slots 2 and 6 are end
-    # slots of traps with no path between them
-    graph = to_graph(parse_topology_spec("L3:3"))
-    for u, v in ((2, 6), (6, 2), (0, 8), (3, 3), (-1, 0), (0, -1), (8, 9), (9, 0)):
-        with pytest.raises(KeyError):
-            graph.edge_id(u, v)
-    assert graph.edge(2, 3).is_shuttle and graph.edge(6, 5).is_shuttle
-
-
-def test_replay_reports_a_move_between_unjoined_slots():
-    c = qft(4)
-    g = to_graph(parse_topology_spec("L3:3"), WeightParams())
-    s = schedule(c, g, initial_mapping(c, g, MappingParams()))
-    assert replay(s) == []
-    for slots in ((2, 6), (-1, 0), (8, 9)):
-        stray = EventRecord(EventKind.SHUTTLE, qubits=(0,), slots=slots)
-        bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping)
-        assert replay(bad) == [f"event 0 (shuttle): no edge joins slots {slots[0]} and "
-                               f"{slots[1]}"]

@@ -60,15 +60,18 @@ def test_wrong_event_kind_detected():
 
 
 def test_move_between_unjoined_slots_is_a_violation():
-    """Slots 1 and 4 of L2:3 are no edge's endpoints: replay reports the event
-    instead of raising and keeps checking the rest of the schedule."""
+    """No edge joins slots 1 and 4 of L3:3, the end slots 2 and 6 of traps 0
+    and 2 (no path joins them), a negative id or an id past the last slot:
+    replay reports the event instead of raising and keeps checking the rest
+    of the schedule."""
     c = qft(4)
-    g = to_graph(parse_topology_spec("L2:3"), WeightParams())
+    g = to_graph(parse_topology_spec("L3:3"), WeightParams())
     s = schedule(c, g, initial_mapping(c, g, MappingParams()))
     assert replay(s) == []
-    stray = EventRecord(EventKind.SHUTTLE, qubits=(0,), slots=(1, 4))
-    bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping)
-    assert replay(bad) == ["event 0 (shuttle): no edge joins slots 1 and 4"]
+    for u, v in ((1, 4), (2, 6), (-1, 0), (8, 9)):
+        stray = EventRecord(EventKind.SHUTTLE, qubits=(0,), slots=(u, v))
+        bad = Schedule([stray] + s.events, s.circuit, s.graph, s.initial_mapping)
+        assert replay(bad) == [f"event 0 (shuttle): no edge joins slots {u} and {v}"]
 
 
 def test_gate_event_naming_no_gate_is_a_violation():
