@@ -1,11 +1,14 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qccdc import (EventKind, EventRecord, MappingParams, WeightParams, grid_topology,
-                   initial_mapping, parse_topology_spec, replay, schedule, to_graph)
+from qccdc import (Circuit, EventKind, EventRecord, Gate, MachineState, MappingParams,
+                   WeightParams, build_dag, gen_benchmark, grid_topology, initial_mapping,
+                   parse_topology_spec, replay, schedule, to_graph)
 from qccdc.bench import qft
 from qccdc.scheduler import Schedule
+from qccdc.validate import MOVE_FIELDS
 
 
 def make_schedule():
@@ -112,3 +115,159 @@ def test_tampered_move_field_is_a_violation(kind, field, value):
     events[i] = dataclasses.replace(events[i], **{field: value})
     bad = Schedule(events, s.circuit, s.graph, s.initial_mapping)
     assert replay(bad) == [f"event {i} ({kind.value}): {field} is {value!r}, not {was!r}"]
+
+
+# ---------------------------------------------------------------------------
+# exact violation lists of the gate checks
+# ---------------------------------------------------------------------------
+
+def gate_schedule(order, mapping=None):
+    """Gate events in ``order`` for h q0; cx q0,q1; h q1 on L2:3, no moves."""
+    c = Circuit(2, (Gate(0, "h", (0,)), Gate(1, "cx", (0, 1)), Gate(2, "h", (1,))))
+    g = to_graph(parse_topology_spec("L2:3"), WeightParams())
+    events = [EventRecord(EventKind.GATE, qubits=c.gates[i].qubits, gate_id=i) for i in order]
+    return Schedule(events, c, g, mapping or {0: 0, 1: 1})
+
+
+def test_gate_checks_report_exact_violations():
+    assert replay(gate_schedule([0, 1, 2])) == []
+    assert replay(gate_schedule([0, 1, 2, 0])) == [
+        "event 3 (gate): gate 0 executed twice",
+        "event 3 (gate): gate 0 out of program order on qubit 0"]
+    assert replay(gate_schedule([1, 0, 2])) == [
+        "event 0 (gate): gate 1 out of program order on qubit 0"]
+    assert replay(gate_schedule([0, 2, 1])) == [
+        "event 1 (gate): gate 2 out of program order on qubit 1"]
+    assert replay(gate_schedule([0, 1, 2], {0: 0, 1: 3})) == [
+        "event 1 (gate): gate 1 qubits (0, 1) not co-trapped"]
+    assert replay(gate_schedule([0, 1])) == ["1 circuit gates never executed"]
+    assert replay(gate_schedule([])) == ["3 circuit gates never executed"]
+    bad = gate_schedule([0, 1, 2])
+    bad.events.insert(1, EventRecord(EventKind.GATE, qubits=(0,), gate_id=3))
+    bad.events.append(EventRecord(EventKind.GATE, qubits=(0,), gate_id=-1))
+    assert replay(bad) == ["event 1 (gate): no gate 3 in the circuit",
+                           "event 4 (gate): no gate -1 in the circuit"]
+
+
+# ---------------------------------------------------------------------------
+# replay against the loop it replaced, on corrupted schedules
+# ---------------------------------------------------------------------------
+
+def reference_replay(sched):
+    """The straightforward replay loop: a label per event, every check."""
+    violations = []
+    graph = sched.graph
+    circuit = sched.circuit
+    state = MachineState(graph, sched.initial_mapping)
+    on_qubit = build_dag(circuit).on_qubit
+    cursor = [0] * circuit.n_qubits
+    executed = set()
+    for idx, ev in enumerate(sched.events):
+        where = f"event {idx} ({ev.kind.value})"
+        if ev.kind is EventKind.GATE:
+            gid = ev.gate_id
+            if not (isinstance(gid, int) and 0 <= gid < len(circuit.gates)):
+                violations.append(f"{where}: no gate {gid!r} in the circuit")
+                continue
+            gate = circuit.gates[gid]
+            if gid in executed:
+                violations.append(f"{where}: gate {gid} executed twice")
+            executed.add(gid)
+            for q in gate.qubits:
+                seq = on_qubit[q]
+                if cursor[q] >= len(seq) or seq[cursor[q]] != gid:
+                    violations.append(f"{where}: gate {gid} out of program order on qubit {q}")
+                else:
+                    cursor[q] += 1
+            if gate.is_two_qubit:
+                na, nb = state.mapping[gate.qubits[0]], state.mapping[gate.qubits[1]]
+                if graph.node_trap[na] != graph.node_trap[nb]:
+                    violations.append(f"{where}: gate {gid} qubits {gate.qubits} not co-trapped")
+        else:
+            if len(ev.slots) != 2:
+                violations.append(f"{where}: a move needs two slots, not {ev.slots!r}")
+                continue
+            u, v = ev.slots
+            try:
+                kind = state.classify(u, v)
+            except (KeyError, TypeError):
+                violations.append(f"{where}: no edge joins slots {u} and {v}")
+                continue
+            if kind is not ev.kind:
+                violations.append(
+                    f"{where}: edge ({u},{v}) classifies as "
+                    f"{'invalid' if kind is None else kind.value}, not {ev.kind.value}")
+                continue
+            made = state.apply_generic_swap(graph.edge(u, v))
+            if ev != made:
+                for name in MOVE_FIELDS:
+                    got, want = getattr(ev, name), getattr(made, name)
+                    if got != want:
+                        violations.append(f"{where}: {name} is {got!r}, not {want!r}")
+    missing = {g.id for g in circuit.gates} - executed
+    if missing:
+        violations.append(f"{len(missing)} circuit gates never executed")
+    return violations
+
+
+POOL_JOBS = [("qft", 6, "L3:3"), ("alt", 6, "G2x2:3"), ("qaoa_chain", 6, "S3:3"),
+             ("heisenberg", 5, "L2:4")]
+_pool = {}
+
+
+def pool_schedule(i):
+    """A valid schedule of ``POOL_JOBS[i]``, compiled once per session."""
+    if i not in _pool:
+        name, size, spec = POOL_JOBS[i]
+        c = gen_benchmark(name, size, layers=2) if name in ("alt", "qaoa_chain") \
+            else gen_benchmark(name, size)
+        g = to_graph(parse_topology_spec(spec), WeightParams())
+        _pool[i] = schedule(c, g, initial_mapping(c, g, MappingParams()))
+    return _pool[i]
+
+
+TAMPERED = [("qubits", lambda v: v[::-1] if len(v) > 1 else v + (0,)),
+            ("slots", lambda v: v[::-1]), ("slots", lambda v: v[:1]),
+            ("slots", lambda v: (v[0], -1)), ("traps", lambda v: v + (0,)),
+            ("weight", lambda v: v + 1.0), ("segments", lambda v: v + 1),
+            ("junction_ids", lambda v: v + (0,)), ("junction_degrees", lambda v: v[1:]),
+            ("chain_ions", lambda v: v - 1), ("ion_dist", lambda v: v + 1),
+            ("kind", lambda v: EventKind.SHIFT if v is EventKind.SWAP else EventKind.SWAP)]
+
+
+@st.composite
+def corrupted_schedules(draw):
+    s = pool_schedule(draw(st.integers(0, len(POOL_JOBS) - 1)))
+    events = list(s.events)
+    n_gates = len(s.circuit.gates)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(events) - 1))
+        how = draw(st.sampled_from(["drop", "duplicate", "swap", "retarget", "tamper"]))
+        if how == "drop":
+            del events[i]
+        elif how == "duplicate":
+            events.insert(i, events[i])
+        elif how == "swap" and i + 1 < len(events):
+            events[i], events[i + 1] = events[i + 1], events[i]
+        elif how == "retarget" and events[i].kind is EventKind.GATE:
+            gid = draw(st.one_of(st.none(), st.integers(-1, n_gates)))
+            events[i] = dataclasses.replace(events[i], gate_id=gid)
+        elif how == "tamper" and events[i].kind is not EventKind.GATE:
+            name, change = draw(st.sampled_from(TAMPERED))
+            events[i] = dataclasses.replace(events[i], **{name: change(getattr(events[i], name))})
+        if not events:
+            break
+    return Schedule(events, s.circuit, s.graph, s.initial_mapping)
+
+
+def test_pool_schedules_are_valid():
+    for i in range(len(POOL_JOBS)):
+        s = pool_schedule(i)
+        assert replay(s) == reference_replay(s) == []
+        assert {e.kind for e in s.events} >= {EventKind.GATE, EventKind.SHUTTLE}
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_schedules())
+def test_replay_matches_reference_on_corrupted_schedules(sched):
+    assert replay(sched) == reference_replay(sched)
