@@ -103,9 +103,10 @@ class DepGraph:
     def pop(self, gate_id: int) -> list[int]:
         """Remove an executed frontier gate; returns the gates it made
         ready, in ascending id."""
-        if gate_id not in self.frontier:
-            raise ValueError(f"gate {gate_id} is not in the frontier")
-        self.frontier.remove(gate_id)
+        try:
+            self.frontier.remove(gate_id)
+        except KeyError:
+            raise ValueError(f"gate {gate_id} is not in the frontier") from None
         self._remaining -= 1
         on_qubit, cursor, gates = self.on_qubit, self.cursor, self.gates
         promoted = []
@@ -121,7 +122,8 @@ class DepGraph:
                         break
                 else:
                     promoted.append(nxt)
-        promoted.sort()
+        if len(promoted) == 2:
+            promoted.sort()
         self.frontier.update(promoted)
         return promoted
 

@@ -11,12 +11,17 @@ it.  A two-qubit gate can run exactly when its qubits share a trap
 (``co_trapped``), and ``run_ready_gates`` is the one routine that runs ready
 gates.  It passes over the whole frontier once and then over only the gates
 each pass promoted: gates move no ion, so a gate a pass skips stays blocked
-until the next move.  ``ion_distance`` counts the trap's spaces between two
-qubits instead of walking the slots there.  The drain, run after every move,
-binds ``mapping`` and ``node_trap`` once per call and asks ``co_trapped``,
-``ion_distance`` and ``chain_length`` for the rest, the same methods
-``apply_generic_swap`` reads, so each fact has one formula; it builds no
-per-trap table.
+until the next move.  A trap's slots are consecutive node ids in position
+order, so ``ion_distance`` is the node ids between two qubits less the empty
+slots among them, one ``list.count``.  The drain, run after every move,
+binds ``mapping``, ``node_trap``, ``DepGraph.pop`` and ``co_trapped``,
+``ion_distance`` and ``chain_length`` once per call and builds each gate
+event positionally; those three are the methods ``apply_generic_swap``
+reads, so each fact has one formula, and it builds no per-trap table.
+
+The constructor rejects a placement on anything but an ``int`` node id
+(``bool`` excluded): every list here is indexed by node id, where -1 or
+True would name a real slot.
 
 One compile job owns one MachineState.  Every structural change goes through
 ``_exchange``, called by ``apply_generic_swap`` for real moves and by the
@@ -38,8 +43,12 @@ from .events import EventKind, EventRecord
 class MachineState:
     def __init__(self, graph: DeviceGraph, mapping: dict[int, int]):
         self.graph = graph
-        slot_qubit: list[int | None] = [None] * graph.n_nodes
+        n = graph.n_nodes
+        slot_qubit: list[int | None] = [None] * n
         for q, node in mapping.items():
+            if not (isinstance(node, int) and not isinstance(node, bool) and 0 <= node < n):
+                raise ValueError(f"initial mapping places qubit {q} at {node!r}, "
+                                 f"not a slot of the device (0..{n - 1})")
             if slot_qubit[node] is not None:
                 raise ValueError(f"slot {node} assigned twice in the initial mapping")
             slot_qubit[node] = q
@@ -61,18 +70,13 @@ class MachineState:
 
     def ion_distance(self, qa: int, qb: int) -> int:
         """Ions strictly between two co-trapped qubits (spaces not counted):
-        the slots between them less the trap's spaces there."""
+        a trap's slots are consecutive node ids in position order, so these
+        are the nodes between the two less the empty ones."""
         na, nb = self.mapping[qa], self.mapping[qb]
-        ta, tb = self.graph.node_trap[na], self.graph.node_trap[nb]
-        if ta != tb:
+        if self.graph.node_trap[na] != self.graph.node_trap[nb]:
             raise ValueError(f"qubits {qa} and {qb} are in different traps")
-        pa, pb = self.graph.node_pos[na], self.graph.node_pos[nb]
-        lo, hi = (pa, pb) if pa < pb else (pb, pa)
-        ions = hi - lo - 1
-        for p in self.spaces[ta]:
-            if lo < p < hi:
-                ions -= 1
-        return ions
+        lo, hi = (na, nb) if na < nb else (nb, na)
+        return hi - lo - 1 - self.slot_qubit[lo + 1:hi].count(None)
 
     def classify(self, u: int, v: int) -> EventKind | None:
         """The kind of generic swap edge (u, v) allows now, or None if it allows
@@ -161,7 +165,9 @@ def run_ready_gates(state: MachineState, dag: DepGraph, events: list[EventRecord
     over the whole frontier to a fixpoint.  Returns how many ran.
     """
     mapping, node_trap = state.mapping, state.graph.node_trap
-    gates = dag.gates
+    co_trapped, ion_distance, chain_length = (state.co_trapped, state.ion_distance,
+                                              state.chain_length)
+    pop, append, gates, GATE = dag.pop, events.append, dag.gates, EventKind.GATE
     ran = 0
     todo = sorted(dag.frontier)
     while todo:
@@ -170,18 +176,19 @@ def run_ready_gates(state: MachineState, dag: DepGraph, events: list[EventRecord
             g = gates[gid]
             qubits = g.qubits
             if len(qubits) == 2:
-                if not state.co_trapped(*qubits):
+                if not co_trapped(*qubits):
                     continue
                 slots = (mapping[qubits[0]], mapping[qubits[1]])
-                dist = state.ion_distance(*qubits)
+                dist = ion_distance(*qubits)
             else:
                 slots = (mapping[qubits[0]],)
                 dist = 0
             trap = node_trap[slots[0]]
-            events.append(EventRecord(
-                EventKind.GATE, qubits=qubits, gate_id=gid, label=g.label, slots=slots,
-                traps=(trap,), chain_ions=state.chain_length(trap), ion_dist=dist))
-            promoted += dag.pop(gid)
+            # positional, in the field order ``test_event_record_contract``
+            # pins: a keyword build costs about a third more per event
+            append(EventRecord(GATE, qubits, gid, g.label, slots, (trap,), 0, (), (), 0.0,
+                               chain_length(trap), dist))
+            promoted += pop(gid)
             ran += 1
         todo = sorted(promoted)
     return ran

@@ -107,6 +107,23 @@ def test_dag_promotes_a_gate_both_qubits_lead_to_once(second):
     assert dag.pop(1) == [] and len(dag) == 0
 
 
+def test_dag_pop_promotes_in_ascending_id_and_once():
+    """Popping gate 0 reaches gate 2 on its first qubit before gate 1 on its
+    second, and returns them sorted; gate 4 follows gate 3 on both qubits and
+    comes back once.  A gate that is not ready, already ran or does not exist
+    is not in the frontier."""
+    c = Circuit(4, (Gate(0, "cx", (0, 1)), Gate(1, "h", (1,)), Gate(2, "h", (0,)),
+                    Gate(3, "cx", (2, 3)), Gate(4, "cx", (3, 2))))
+    dag = build_dag(c)
+    assert dag.pop(0) == [1, 2]
+    assert dag.pop(3) == [4]
+    assert dag.frontier == {1, 2, 4}
+    for gid in (0, 3, 5):
+        with pytest.raises(ValueError, match=f"gate {gid} is not in the frontier"):
+            dag.pop(gid)
+    assert dag.frontier == {1, 2, 4} and len(dag) == 3
+
+
 def test_dag_pop_requires_frontier_membership():
     c = Circuit(2, (Gate(0, "cx", (0, 1)), Gate(1, "cx", (0, 1))))
     dag = build_dag(c)

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qccdc import (Circuit, CostParams, EventKind, MachineState, Schedule,
-                   WeightParams, evaluate, linear_topology, to_graph)
+                   WeightParams, evaluate, exact_schedule, linear_topology,
+                   parse_topology_spec, replay, schedule, to_graph)
+from qccdc.bench import qft
 
 
 def make_state(mapping, n_traps=2, capacity=3):
@@ -51,6 +53,35 @@ def test_ion_distance_skips_spaces():
     assert s.ion_distance(0, 1) == 0
     with pytest.raises(ValueError):
         MachineState(g, {0: 0, 1: 5}).ion_distance(0, 1)
+
+
+def replay_unscheduled(c, g, mapping):
+    """Replay an empty schedule: the placement is all there is to check."""
+    return replay(Schedule([], c, g, mapping))
+
+
+@pytest.mark.parametrize("run", [schedule, exact_schedule, replay_unscheduled])
+@pytest.mark.parametrize("slot", [-1, 6, 1.0, True])
+def test_placement_outside_the_slots_is_rejected(slot, run):
+    """A slot must be an int node id: -1 would index the last slot, True
+    slot 1, and 6 or 1.0 fail with no word of the mapping.  The compilers
+    raise one ValueError naming the qubit and the slot; replay reports it."""
+    c = qft(2)
+    g = to_graph(parse_topology_spec("L2:3"), WeightParams())
+    msg = f"initial mapping places qubit 0 at {slot!r}, not a slot of the device (0..5)"
+    if run is replay_unscheduled:
+        assert run(c, g, {0: slot, 1: 0}) == [msg]
+    else:
+        with pytest.raises(ValueError) as err:
+            run(c, g, {0: slot, 1: 0})
+        assert str(err.value) == msg
+
+
+def test_replay_reports_a_slot_taken_twice():
+    c = qft(2)
+    g = to_graph(parse_topology_spec("L2:3"), WeightParams())
+    assert replay_unscheduled(c, g, {0: 3, 1: 3}) == [
+        "slot 3 assigned twice in the initial mapping"]
 
 
 def test_invalid_swap_rejected():
