@@ -63,9 +63,10 @@ def replay_unscheduled(c, g, mapping):
 @pytest.mark.parametrize("run", [schedule, exact_schedule, replay_unscheduled])
 @pytest.mark.parametrize("slot", [-1, 6, 1.0, True])
 def test_placement_outside_the_slots_is_rejected(slot, run):
-    """A slot must be an int node id: -1 would index the last slot, True
-    slot 1, and 6 or 1.0 fail with no word of the mapping.  The compilers
-    raise one ValueError naming the qubit and the slot; replay reports it."""
+    """A slot must be an int node id: unchecked, -1 would index the last
+    slot, True slot 1, and 6 or 1.0 would raise an IndexError or TypeError
+    naming no qubit.  The compilers raise one ValueError naming the qubit and
+    the slot; replay reports it."""
     c = qft(2)
     g = to_graph(parse_topology_spec("L2:3"), WeightParams())
     msg = f"initial mapping places qubit 0 at {slot!r}, not a slot of the device (0..5)"
