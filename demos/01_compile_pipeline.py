@@ -16,7 +16,7 @@ def main():
     topo = q.grid_topology(2, 2, 8)
     graph = q.to_graph(topo, q.WeightParams())
     print(f"device: {len(topo.traps)} traps x capacity 8 -> {graph.n_nodes} slots, "
-          f"{sum(e.is_shuttle for e in graph.edges)} shuttle edges")
+          f"{int((graph.edge_class == q.device.SHUTTLE_EDGE).sum())} shuttle edges")
 
     mapping = q.initial_mapping(circuit, graph, q.MappingParams())
     sched = q.schedule(circuit, graph, mapping)

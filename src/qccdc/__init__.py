@@ -9,9 +9,9 @@ from .bench import BENCHMARKS, gen_benchmark
 from .circuit import Circuit, DepGraph, Gate, QasmError, build_dag, parse_qasm, to_qasm
 from .costmodel import (CostParams, GateFamily, Metrics, evaluate, gate_duration,
                         gate_fidelity, shuttle_duration)
-from .device import (DeviceGraph, Edge, Junction, Path, Topology, Trap,
-                     WeightParams, build_topology, grid_topology, linear_topology,
-                     parse_topology_spec, star_topology, to_graph, topology_from_json)
+from .device import (DeviceGraph, Junction, Path, Topology, Trap, WeightParams,
+                     build_topology, grid_topology, linear_topology, parse_topology_spec,
+                     star_topology, to_graph, topology_from_json)
 from .events import EventKind, EventRecord
 from .mapping import (MappingParams, Strategy, first_level, initial_mapping,
                       interaction_scores, second_level)

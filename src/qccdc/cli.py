@@ -114,7 +114,7 @@ def run_compile(args, capacity: int | None = None) -> dict:
         final = MachineState(graph, sched.initial_mapping)
         for ev in sched.events:
             if ev.kind is not EventKind.GATE:
-                final.apply_generic_swap(graph.edge(*ev.slots))
+                final.apply_generic_swap(*ev.slots)
         # a relaxed shuttle adds no heat, so the heat is the unrelaxed grade's
         heat = metrics if args.baseline == "none" else evaluate(sched, cost_p)
         snap = {"mapping": {str(q): n for q, n in sorted(final.mapping.items())},

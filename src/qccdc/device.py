@@ -12,6 +12,12 @@ every two traps.  Each edge's class is set as the edge is built; the class
 and the edge's occupied endpoints decide its generic swap: the
 ``EventKind`` in ``EDGE_KINDS``, or None where it allows none.
 
+An edge is its id, an index into the read-only per-edge arrays
+``edge_u``, ``edge_v`` (``u < v``), ``edge_weight`` and ``edge_class``;
+``edges`` is the range of ids.  Each fact of an edge is stored once: a
+shuttle edge's segments and junctions are those of its trap pair's path,
+``trap_path[(lower trap, higher trap)]``.
+
 Edges are numbered in closed form.  The intra edges come first, trap by
 trap, each trap's slot pairs ``(i, j)``, ``i < j``, in row-major order: the
 row of slot ``u`` holds its pairs with the later slots of its trap, so the
@@ -134,9 +140,9 @@ class WeightParams:
             raise ValueError("intra weights must be positive and below the shuttle weight")
 
 
-# Edge classes, fixed per edge by ``to_graph`` as it builds the edge: an intra
-# edge between slots further apart than one, an intra edge between adjacent
-# slots, and a shuttle edge between the end slots of two traps.
+# The edge classes, fixed per edge by ``to_graph`` as it builds the edge: an
+# intra edge between slots further apart than one, an intra edge between
+# adjacent slots, and a shuttle edge between the end slots of two traps.
 INTRA_EDGE, ADJACENT_EDGE, SHUTTLE_EDGE = 0, 1, 2
 
 # EDGE_KINDS[edge class][occupied endpoints]: the event kind of the generic
@@ -149,21 +155,6 @@ EDGE_KINDS = (
     (None, EventKind.SHUTTLE, None),
 )
 VALID_SWAP = np.array([[k is not None for k in row] for row in EDGE_KINDS])
-
-
-@dataclass(slots=True)
-class Edge:
-    u: int
-    v: int
-    weight: float
-    # shuttle edges only: segment count and junction ids
-    segments: int = 0
-    junctions: tuple[int, ...] = ()
-
-    @property
-    def is_shuttle(self) -> bool:
-        """Every shuttle crosses at least one segment; an intra edge none."""
-        return self.segments > 0
 
 
 def _path_cost(path: Path) -> tuple[int, int]:
@@ -183,23 +174,22 @@ class DeviceGraph:
         self.node_pos: list[int] = []
         self.trap_slots: dict[int, list[int]] = {}
         for trap in topology.traps:
-            slots = []
-            for pos in range(trap.capacity):
-                nid = len(self.node_trap)
-                self.node_trap.append(trap.id)
-                self.node_pos.append(pos)
-                slots.append(nid)
-            self.trap_slots[trap.id] = slots
+            first = len(self.node_trap)
+            self.trap_slots[trap.id] = list(range(first, first + trap.capacity))
+            self.node_trap += [trap.id] * trap.capacity
+            self.node_pos += range(trap.capacity)
         self.n_nodes = len(self.node_trap)
 
-        # one shuttle path per trap pair: the cheapest by (weight, segments),
-        # the first listed on a tie; shuttle edges and trap routes both use it
-        trap_paths: dict[tuple[int, int], Path] = {}
+        # one shuttle path per trap pair, keyed (lower trap, higher trap): the
+        # cheapest by (weight, segments), the first listed on a tie.  Shuttle
+        # edges and trap routes both use it, and it is the one record of each
+        # shuttle's segments and junctions
+        self.trap_path: dict[tuple[int, int], Path] = {}
         for path in topology.paths:
             key = (min(path.trap_a, path.trap_b), max(path.trap_a, path.trap_b))
-            old = trap_paths.get(key)
+            old = self.trap_path.get(key)
             if old is None or _path_cost(path) < _path_cost(old):
-                trap_paths[key] = path
+                self.trap_path[key] = path
         # per trap, its (neighbour, junctions + 1) pairs over those paths,
         # sorted: the trap-level graph of the escape planner and the oracle;
         # ``trap_dist`` is its cheapest route cost between every two traps,
@@ -208,7 +198,7 @@ class DeviceGraph:
         self.trap_adj: dict[int, list[tuple[int, float]]] = {t.id: [] for t in topology.traps}
         self.trap_dist = np.full((n_traps, n_traps), np.inf)
         np.fill_diagonal(self.trap_dist, 0.0)
-        for (a, b), path in trap_paths.items():
+        for (a, b), path in self.trap_path.items():
             w = float(len(path.junctions) + 1)  # relative cost only; scale-free
             self.trap_adj[a].append((b, w))
             self.trap_adj[b].append((a, w))
@@ -228,38 +218,31 @@ class DeviceGraph:
         row_start = np.cumsum(row_len) - row_len
         n_intra = int(row_len.sum())
         gap = np.arange(1, n_intra + 1) - np.repeat(row_start, row_len)  # v - u
-        intra_u = np.repeat(nodes, row_len)
-        intra_v = intra_u + gap
-        intra_w = params.inner_weight * gap
         self._row_start: list[int] = row_start.tolist()
-        self.edges: list[Edge] = list(map(Edge, intra_u.tolist(), intra_v.tolist(),
-                                          intra_w.tolist()))
-        # shuttle edges: (u, v) with u < v -> index into ``edges`` and the arrays
-        self._shuttle_index: dict[tuple[int, int], int] = {}
-        for path in trap_paths.values():
-            w = params.shuttle_base * (len(path.junctions) + 1)
-            for u in self._end_slots(path.trap_a):
-                for v in self._end_slots(path.trap_b):
-                    a, b = (u, v) if u < v else (v, u)
-                    self._shuttle_index[a, b] = len(self.edges)
-                    self.edges.append(Edge(a, b, w, path.segments, path.junctions))
-        shuttles = self.edges[n_intra:]
+        # shuttle edges, which follow: the four end-slot pairs (u, v), u < v,
+        # of each trap pair in ``trap_path`` order; only they need a dict
+        ends = {t: (slots[0], slots[-1]) for t, slots in self.trap_slots.items()}
+        shuttles = [(min(u, v), max(u, v)) for p in self.trap_path.values()
+                    for u in ends[p.trap_a] for v in ends[p.trap_b]]
+        self._shuttle_index = {pair: n_intra + i for i, pair in enumerate(shuttles)}
+        shuttles = np.array(shuttles, np.intp).reshape(-1, 2)
+        shuttle_w = [params.shuttle_base * (len(p.junctions) + 1) for p in self.trap_path.values()]
         # each junction's degree, read for every shuttle event
         self.junction_degree = {j.id: j.degree for j in topology.junctions}
 
-        # static per-edge arrays, in edge order: endpoints, weights, and the
-        # class that with the number of occupied endpoints decides the edge's
-        # kind (see ``EDGE_KINDS``); an intra edge joins adjacent slots when
-        # its node ids differ by one
-        self.edge_u = np.concatenate((intra_u, np.array([e.u for e in shuttles], np.intp)))
-        self.edge_v = np.concatenate((intra_v, np.array([e.v for e in shuttles], np.intp)))
-        self.edge_weight = np.concatenate((intra_w, np.array([e.weight for e in shuttles])))
-        self.edge_class = np.full(len(self.edges), SHUTTLE_EDGE, dtype=np.intp)
+        # static per-edge arrays, indexed by edge id and read-only: endpoints
+        # (u < v), weights, and the class that with the number of occupied
+        # endpoints decides the edge's kind (see ``EDGE_KINDS``); an intra
+        # edge joins adjacent slots when its node ids differ by one
+        intra_u = np.repeat(nodes, row_len)
+        self.edge_u = np.concatenate((intra_u, shuttles[:, 0]))
+        self.edge_v = np.concatenate((intra_u + gap, shuttles[:, 1]))
+        self.edge_weight = np.concatenate((params.inner_weight * gap, np.repeat(shuttle_w, 4)))
+        self.edge_class = np.full(len(self.edge_u), SHUTTLE_EDGE, dtype=np.intp)
         self.edge_class[:n_intra] = np.where(gap == 1, ADJACENT_EDGE, INTRA_EDGE)
-
-    def _end_slots(self, trap_id: int) -> tuple[int, int]:
-        slots = self.trap_slots[trap_id]
-        return slots[0], slots[-1]
+        for array in (self.edge_u, self.edge_v, self.edge_weight, self.edge_class):
+            array.setflags(write=False)
+        self.edges = range(len(self.edge_u))  # the edge ids
 
     def edge_id(self, u: int, v: int) -> int:
         a, b = (u, v) if u < v else (v, u)
@@ -269,9 +252,6 @@ class DeviceGraph:
         if index is None:
             raise KeyError(f"no edge between nodes {u} and {v}")
         return index
-
-    def edge(self, u: int, v: int) -> Edge:
-        return self.edges[self.edge_id(u, v)]
 
 
 def to_graph(topology: Topology, params: WeightParams | None = None) -> DeviceGraph:

@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 
 from .circuit import Circuit, build_dag
-from .device import EDGE_KINDS, DeviceGraph, WeightParams, linear_topology, to_graph
+from .device import EDGE_KINDS, SHUTTLE_EDGE, DeviceGraph, WeightParams, linear_topology, to_graph
 from .events import EventKind
 from .scheduler import Schedule
 from .state import MachineState, run_ready_gates
@@ -82,8 +82,7 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
         raise ValueError(f"{graph.n_nodes} slots exceed the oracle limit {limits.max_nodes}")
     if n_two_q > limits.max_gates:
         raise ValueError(f"{n_two_q} two-qubit gates exceed the oracle limit")
-    if missing := [q for q in range(circuit.n_qubits) if q not in mapping]:
-        raise ValueError(f"qubit {missing[0]} is not placed by the initial mapping")
+    start_slots = tuple(MachineState(graph, mapping, circuit.n_qubits).slot_qubit)
 
     on_qubit = build_dag(circuit).on_qubit
     preds = [0] * len(gates)  # bitmask of each gate's predecessors
@@ -97,11 +96,13 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
 
     node_trap = graph.node_trap
     bound = _hop_bound(circuit, graph)
-    moves = [(e.u, e.v, e.weight, EDGE_KINDS[cls], ((e.u, e.v),))
-             for e, cls in zip(graph.edges, graph.edge_class.tolist())]
+    moves = [(u, v, w, EDGE_KINDS[cls], ((u, v),))
+             for u, v, w, cls in zip(graph.edge_u.tolist(), graph.edge_v.tolist(),
+                                     graph.edge_weight.tolist(), graph.edge_class.tolist())]
     SHUTTLE, SWAP = EventKind.SHUTTLE, EventKind.SWAP
     # shrunk so that h * w_min stays below any float sum of h shuttle weights
-    w_min = min((e.weight for e in graph.edges if e.is_shuttle), default=0.0) * (1 - 1e-9)
+    w_min = min(graph.edge_weight[graph.edge_class == SHUTTLE_EDGE].tolist(),
+                default=0.0) * (1 - 1e-9)
 
     def close(traps: tuple, executed: int, pending) -> tuple[int, int]:
         """Run ``pending`` and the successors of what runs, once their
@@ -119,7 +120,6 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
             stack.extend(succ[gid])
         return done, bound(traps, done)
 
-    start_slots = tuple(MachineState(graph, mapping).slot_qubit)
     start_traps = tuple(node_trap[mapping[q]] for q in range(circuit.n_qubits))
     start_exec, start_h = close(start_traps, 0, [g.id for g in gates if not preds[g.id]])
     start_cost = (0.0, 0, 0)
@@ -203,7 +203,7 @@ def _replay_path(circuit, graph, mapping, path) -> Schedule:
     events = []
     run_ready_gates(state, dag, events)
     for u, v in path:
-        events.append(state.apply_generic_swap(graph.edge(u, v)))
+        events.append(state.apply_generic_swap(u, v))
         run_ready_gates(state, dag, events)
     return Schedule(events, circuit, graph, dict(mapping))
 

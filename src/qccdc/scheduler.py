@@ -14,11 +14,13 @@ applied.  It is applied only if its score alone is below the current
 frontier score; the weight is left out of that test because adding it and
 taking it off again rounds, which let no-op swaps pass as progress.
 
-The candidate scan is one mask over static per-edge arrays: the graph fixes
-each edge's class (intra, adjacent intra, shuttle) once, the state keeps a
-0/1 occupancy per slot, and ``VALID_SWAP[class, occupied endpoints]`` says
-which edges are generic swaps now.  Scoring has two paths that give the same
-floats.  ``heuristic_scores`` scores every (candidate x frontier gate) pair
+A candidate is an edge id, and the scan is one mask over the graph's static
+per-edge arrays: the graph fixes each edge's class (intra, adjacent intra,
+shuttle) once, the state keeps a 0/1 occupancy per slot, and
+``VALID_SWAP[class, occupied endpoints]`` says which edges are generic swaps
+now.  The chosen move is applied by its slot pair, whose shuttle route the
+state reads from ``DeviceGraph.trap_path``.  Scoring has two paths that give
+the same floats.  ``heuristic_scores`` scores every (candidate x frontier gate) pair
 in one numpy expression; ``heuristic_h`` scores one candidate in plain
 Python.  A scan takes the numpy path from ``VECTOR_MIN_PAIRS`` pairs on.
 Small scans stay scalar because numpy's fixed cost per call outweighs the
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, DepGraph, build_dag
-from .device import SHUTTLE_EDGE, VALID_SWAP, DeviceGraph, Edge
+from .device import SHUTTLE_EDGE, VALID_SWAP, DeviceGraph
 from .events import EventKind, EventRecord
 from .state import MachineState, run_ready_gates
 
@@ -158,37 +160,34 @@ def candidates(state: MachineState, graph: DeviceGraph) -> np.ndarray:
     return np.flatnonzero(VALID_SWAP[graph.edge_class, occ[graph.edge_u] + occ[graph.edge_v]])
 
 
-def _penalty_change(edge: Edge, state: MachineState) -> int:
-    """Change in the number of spaceless traps if the shuttle on ``edge`` runs."""
+def _penalty_change(u: int, v: int, state: MachineState) -> int:
+    """Change in the number of spaceless traps if the generic swap on (u, v)
+    runs: none unless it is a shuttle, the one move between two traps."""
     trap = state.graph.node_trap
-    if state.slot_qubit[edge.u] is not None:
-        src, dst = trap[edge.u], trap[edge.v]
-    else:
-        src, dst = trap[edge.v], trap[edge.u]
-    return (len(state.spaces[dst]) == 1) - (not state.spaces[src])
+    src, dst = (trap[u], trap[v]) if state.slot_qubit[u] is not None else (trap[v], trap[u])
+    return 0 if src == dst else (len(state.spaces[dst]) == 1) - (not state.spaces[src])
 
 
-def heuristic_h(edge: Edge, state: MachineState, frontier_gates, dist) -> float:
-    """Frontier score after applying one candidate swap: min over frontier
-    gates of decay * (distance under the post-swap mapping + penalty).
+def heuristic_h(u: int, v: int, state: MachineState, frontier_gates, dist) -> float:
+    """Frontier score after the candidate swap on slots (u, v): min over
+    frontier gates of decay * (distance under the post-swap mapping +
+    penalty).
 
     The swap's own weight is not included: ``schedule`` adds it to rank
     candidates, and compares this score alone with the current one to decide
     whether the swap improves anything.  ``dist`` is in units of the shuttle
     base weight and the penalty counts one unit per spaceless trap, so
     scaling every device weight by a common factor reproduces the same
-    floats.  ``edge`` must be a candidate, so a shuttle edge moves a qubit."""
+    floats.  The edge must be a candidate, so a shuttle edge moves a qubit."""
     # temporary mapping: only the moved qubit(s) change slots
     moved: dict[int, int] = {}
-    qu, qv = state.slot_qubit[edge.u], state.slot_qubit[edge.v]
+    qu, qv = state.slot_qubit[u], state.slot_qubit[v]
     if qu is not None:
-        moved[qu] = edge.v
+        moved[qu] = v
     if qv is not None:
-        moved[qv] = edge.u
+        moved[qv] = u
 
-    pen = state.traps_without_space
-    if edge.is_shuttle:
-        pen += _penalty_change(edge, state)
+    pen = state.traps_without_space + _penalty_change(u, v, state)
 
     best = np.inf
     mapping = state.mapping
@@ -216,8 +215,9 @@ def heuristic_scores(cand: np.ndarray, state: MachineState, graph: DeviceGraph,
     moved = np.where(slots == u, v, np.where(slots == v, u, slots))
 
     pen = np.full(len(cand), state.traps_without_space)
-    for k in np.flatnonzero(graph.edge_class[cand] == SHUTTLE_EDGE).tolist():
-        pen[k] += _penalty_change(graph.edges[cand[k]], state)
+    shuttle = np.flatnonzero(graph.edge_class[cand] == SHUTTLE_EDGE)
+    for k, a, b in zip(shuttle.tolist(), u[shuttle, 0, 0].tolist(), v[shuttle, 0, 0].tolist()):
+        pen[k] += _penalty_change(a, b, state)
 
     return ((dist[moved[..., 0], moved[..., 1]] + pen[:, None]) * decay_factor).min(axis=1)
 
@@ -342,7 +342,8 @@ def plan_escape(state: MachineState, graph: DeviceGraph, q1: int, q2: int,
     # plans[0] moves q2, plans[1] moves q1
     plans = [_EscapePlanner(state, graph).route(mover, stay)
              for mover, stay in ((q2, q1), (q1, q2))]
-    w2, w1 = (sum(graph.edge(u, v).weight / norm for u, v in plan) for plan in plans)
+    w2, w1 = (sum(float(graph.edge_weight[graph.edge_id(u, v)]) / norm for u, v in plan)
+              for plan in plans)
     if w1 != w2:
         return plans[w1 < w2]
     left1, left2 = (sum(dag.gates[gid].is_two_qubit for gid in dag.on_qubit[q][dag.cursor[q]:])
@@ -369,11 +370,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
     """Run the full generic-swap scheduling loop over the circuit DAG;
     ``heat`` is ignored, as ``benchmarks/run.py`` still passes it."""
     params = params or SchedulerParams()
-    for q in range(circuit.n_qubits):
-        if q not in initial_mapping:
-            raise ValueError(f"qubit {q} is not placed by the initial mapping")
-
-    state = MachineState(graph, initial_mapping)
+    state = MachineState(graph, initial_mapping, circuit.n_qubits)
     dag = build_dag(circuit)
     norm = graph.params.shuttle_base
     # looked up at call time: the benchmark's tracer wraps it.  The numpy
@@ -393,15 +390,15 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         if run_ready_gates(state, dag, events):
             swaps_since_gate = 0
 
-    def apply_edge(e: Edge):
+    def apply_edge(u: int, v: int):
         """Apply one generic swap, then run whatever gates it made ready."""
         nonlocal iteration, prev_edge, swaps_since_gate
-        ev = state.apply_generic_swap(e)
+        ev = state.apply_generic_swap(u, v)
         events.append(ev)
         iteration += 1
         for q in ev.qubits:
             last_moved[q] = iteration
-        prev_edge = (e.u, e.v)
+        prev_edge = (u, v) if u < v else (v, u)
         swaps_since_gate += 1
         if swaps_since_gate > params.iteration_cap_per_gate:
             raise SchedulerStuck(dag.frontier, iteration)
@@ -422,26 +419,29 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
 
         # one candidates() call per scan, looked up at call time: the
         # benchmark's tracer wraps it to count heuristic scans.  ``scored``
-        # holds (score, score + own weight, edge); the numpy path keeps only
-        # the candidates tied at the smallest score + weight
+        # holds (score, score + own weight, u, v) as Python scalars, gathered
+        # a column at a time; the numpy path keeps only the candidates tied
+        # at the smallest score + weight
         cand = candidates(state, graph)
         if len(cand) * len(frontier_gates) >= VECTOR_MIN_PAIRS:
             raw = heuristic_scores(cand, state, graph, frontier_gates, dist_array)
             h = raw + graph.edge_weight[cand] / norm
-            scored = [(float(raw[k]), float(h[k]), graph.edges[cand[k]])
-                      for k in np.flatnonzero(h == h.min()).tolist()]
+            tied = np.flatnonzero(h == h.min())
+            scored = list(zip(raw[tied].tolist(), h[tied].tolist(),
+                              graph.edge_u[cand[tied]].tolist(),
+                              graph.edge_v[cand[tied]].tolist()))
         else:
             scored = []
-            for i in cand.tolist():
-                e = graph.edges[i]
-                r = heuristic_h(e, state, frontier_gates, dist)
-                scored.append((r, r + e.weight / norm, e))
+            for u, v, w in zip(graph.edge_u[cand].tolist(), graph.edge_v[cand].tolist(),
+                               graph.edge_weight[cand].tolist()):
+                r = heuristic_h(u, v, state, frontier_gates, dist)
+                scored.append((r, r + w / norm, u, v))
         best = min(scored, default=None,
-                   key=lambda t: (t[1], prev_edge == (t[2].u, t[2].v), t[2].u, t[2].v))
+                   key=lambda t: (t[1], prev_edge == (t[2], t[3]), t[2], t[3]))
         # improving means the score alone drops: adding the weight and taking
         # it off again rounds, and would let a no-op swap pass as progress
         if best is not None and best[0] < current_min:
-            apply_edge(best[2])
+            apply_edge(best[2], best[3])
             continue
 
         # plateau: no candidate lowers the frontier score; route the lowest-id
@@ -452,7 +452,7 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         if not plan:
             raise SchedulerStuck(dag.frontier, iteration)
         for u, v in plan:
-            apply_edge(graph.edge(u, v))
+            apply_edge(u, v)
             if gid not in dag.frontier:
                 break
 

@@ -19,9 +19,13 @@ binds ``mapping``, ``node_trap``, ``DepGraph.pop`` and ``co_trapped``,
 event positionally; those three are the methods ``apply_generic_swap``
 reads, so each fact has one formula, and it builds no per-trap table.
 
-The constructor rejects a placement on anything but an ``int`` node id
-(``bool`` excluded): every list here is indexed by node id, where -1 or
-True would name a real slot.
+The constructor is the one check of a placement: qubits and slots are
+``int`` indices (``bool`` excluded), where -1 or True would name a real
+entry, and given the circuit's qubit count it places exactly its qubits.
+
+A move names its edge by two slots, in either order: ``apply_generic_swap``
+reads the edge's class and weight from the graph's per-edge arrays and a
+shuttle's segments and junctions from ``DeviceGraph.trap_path``.
 
 One compile job owns one MachineState.  Every structural change goes through
 ``_exchange``, called by ``apply_generic_swap`` for real moves and by the
@@ -36,22 +40,29 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import DepGraph
-from .device import EDGE_KINDS, DeviceGraph, Edge
+from .device import EDGE_KINDS, DeviceGraph
 from .events import EventKind, EventRecord
 
 
 class MachineState:
-    def __init__(self, graph: DeviceGraph, mapping: dict[int, int]):
+    def __init__(self, graph: DeviceGraph, mapping: dict[int, int],
+                 n_qubits: int | None = None):
         self.graph = graph
         n = graph.n_nodes
         slot_qubit: list[int | None] = [None] * n
+        top = np.inf if n_qubits is None else n_qubits
         for q, node in mapping.items():
-            if not (isinstance(node, int) and not isinstance(node, bool) and 0 <= node < n):
+            if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q < top:
+                raise ValueError(f"initial mapping places {q!r}, not a qubit of the circuit")
+            if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < n:
                 raise ValueError(f"initial mapping places qubit {q} at {node!r}, "
                                  f"not a slot of the device (0..{n - 1})")
             if slot_qubit[node] is not None:
                 raise ValueError(f"slot {node} assigned twice in the initial mapping")
             slot_qubit[node] = q
+        if len(mapping) < (n_qubits or 0):  # the qubits placed are distinct and below it
+            missing = min(set(range(n_qubits)) - mapping.keys())
+            raise ValueError(f"qubit {missing} is not placed by the initial mapping")
         self.slot_qubit = slot_qubit
         self.mapping: dict[int, int] = dict(mapping)
         # 0/1 per slot: with the graph's static edge classes it decides every
@@ -112,32 +123,38 @@ class MachineState:
                 self.traps_without_space -= not spaces
                 spaces.add(g.node_pos[node])
 
-    def apply_generic_swap(self, edge: Edge) -> EventRecord:
-        """Exchange the contents of the edge's endpoints; returns the event."""
-        u, v = edge.u, edge.v
-        kind = self.classify(u, v)
+    def apply_generic_swap(self, u: int, v: int) -> EventRecord:
+        """Exchange the contents of slots u and v, in either order; returns
+        the event, which names the lower slot first (a shuttle: its source)."""
+        g = self.graph
+        if u > v:
+            u, v = v, u
+        edge = g.edge_id(u, v)  # read as Python scalars: ``item`` makes no numpy scalar
         qu, qv = self.slot_qubit[u], self.slot_qubit[v]
+        kind = EDGE_KINDS[g.edge_class.item(edge)][(qu is not None) + (qv is not None)]
+        weight = g.edge_weight.item(edge)
         mover = qu if qu is not None else qv  # the one qubit of a shift or shuttle
-        trap = self.graph.node_trap[u]
+        trap = g.node_trap[u]
         if kind is EventKind.SWAP:
             d, n = self.ion_distance(qu, qv), self.chain_length(trap)
             self._exchange(u, v)
             return EventRecord(kind, qubits=(qu, qv), slots=(u, v), traps=(trap,),
-                               weight=edge.weight, chain_ions=n, ion_dist=d)
+                               weight=weight, chain_ions=n, ion_dist=d)
         if kind is EventKind.SHIFT:
             self._exchange(u, v)
             return EventRecord(kind, qubits=(mover,), slots=(u, v), traps=(trap,),
-                               weight=edge.weight)
+                               weight=weight)
         if kind is EventKind.SHUTTLE:
+            path = g.trap_path[trap, g.node_trap[v]]  # u < v, so u's trap is the lower
             src_node, dst_node = (u, v) if qu is not None else (v, u)
-            src, dst = self.graph.node_trap[src_node], self.graph.node_trap[dst_node]
+            src, dst = g.node_trap[src_node], g.node_trap[dst_node]
             self._exchange(u, v)
-            degs = tuple(self.graph.junction_degree[j] for j in edge.junctions)
+            degs = tuple(g.junction_degree[j] for j in path.junctions)
             return EventRecord(kind, qubits=(mover,), slots=(src_node, dst_node),
-                               traps=(src, dst), segments=edge.segments,
-                               junction_ids=edge.junctions, junction_degrees=degs,
-                               weight=edge.weight, chain_ions=self.chain_length(dst))
-        raise ValueError(f"edge ({edge.u},{edge.v}) is not a valid generic swap here")
+                               traps=(src, dst), segments=path.segments,
+                               junction_ids=path.junctions, junction_degrees=degs,
+                               weight=weight, chain_ions=self.chain_length(dst))
+        raise ValueError(f"edge ({u},{v}) is not a valid generic swap here")
 
     def check_consistency(self):
         """Cross-check the redundant structures; cheap enough for tests."""

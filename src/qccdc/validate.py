@@ -5,7 +5,7 @@ checking only what each event touches: a gate event names a gate of the
 circuit, which runs on co-trapped qubits in per-qubit circuit order; an
 inserted move names two slots joined by an edge, the move is the generic
 swap that edge allows at that point, and every field in ``MOVE_FIELDS``
-equals the event ``MachineState.apply_generic_swap`` makes for that edge.
+equals the event ``MachineState.apply_generic_swap`` makes on those slots.
 Occupancy and the qubit set need no check of their own: every move
 exchanges the contents of two slots, so no trap overfills and no qubit
 appears or vanishes.  It shares ``MachineState`` and its edge-kind
@@ -14,9 +14,10 @@ not the kernel itself: ``tests/test_scan_equivalence.py`` checks the table
 against the weight rule, and ``benchmarks/checker.py`` re-walks schedules
 without ``MachineState`` at all.
 
-An initial mapping that ``MachineState`` rejects (a slot that is no node id,
-or one taken twice) is the one violation reported: there is nothing to
-replay from it.
+An initial mapping that ``MachineState`` rejects (a qubit that is no
+non-negative int, a slot that is no node id or one taken twice, a circuit
+qubit left out or a qubit the circuit does not have) is the one violation
+reported: there is nothing to replay from it.
 
 Cost: a gate event is most of every schedule (about 13k per ``deep_local``
 job against about 70 moves), so the gate branch binds what it reads once per
@@ -43,7 +44,7 @@ def replay(sched: Schedule) -> list[str]:
     graph = sched.graph
     circuit = sched.circuit
     try:
-        state = MachineState(graph, sched.initial_mapping)
+        state = MachineState(graph, sched.initial_mapping, circuit.n_qubits)
     except ValueError as exc:
         return [str(exc)]
     gates, mapping, node_trap = circuit.gates, state.mapping, graph.node_trap
@@ -93,7 +94,7 @@ def replay(sched: Schedule) -> list[str]:
                     f"{where}: edge ({u},{v}) classifies as "
                     f"{'invalid' if kind is None else kind.value}, not {ev.kind.value}")
                 continue
-            made = state.apply_generic_swap(graph.edge(u, v))
+            made = state.apply_generic_swap(u, v)
             if ev != made:
                 for name in MOVE_FIELDS:
                     got, want = getattr(ev, name), getattr(made, name)

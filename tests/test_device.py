@@ -42,9 +42,9 @@ def test_weight_ladder():
     """Intra adjacent 0.001, intra distance-2 0.002, one-junction shuttle 2,
     two-junction shuttle 3 under default params (shuttle weight w*(j+1))."""
     g = to_graph(linear_topology(2, 3), WeightParams())
-    assert g.edge(0, 1).weight == pytest.approx(0.001)
-    assert g.edge(0, 2).weight == pytest.approx(0.002)
-    assert g.edge(2, 3).weight == pytest.approx(2.0)  # one junction between traps
+    assert g.edge_weight[g.edge_id(0, 1)] == pytest.approx(0.001)
+    assert g.edge_weight[g.edge_id(0, 2)] == pytest.approx(0.002)
+    assert g.edge_weight[g.edge_id(2, 3)] == pytest.approx(2.0)  # one junction between traps
 
     two_j = topology_from_json({
         "traps": [{"id": 0, "capacity": 2}, {"id": 1, "capacity": 2}],
@@ -52,27 +52,18 @@ def test_weight_ladder():
         "paths": [{"trap_a": 0, "trap_b": 1, "segments": 2, "junctions": [0, 1]}],
     })
     g2 = to_graph(two_j, WeightParams())
-    assert g2.edge(1, 2).weight == pytest.approx(3.0)
+    assert g2.edge_weight[g2.edge_id(1, 2)] == pytest.approx(3.0)
 
 
 def test_shuttle_edges_connect_end_slots_only():
     g = to_graph(linear_topology(2, 4), WeightParams())
-    for e in g.edges:
-        if e.is_shuttle:
-            assert g.node_pos[e.u] in (0, 3) and g.node_pos[e.v] in (0, 3)
-            assert g.node_trap[e.u] != g.node_trap[e.v]
+    assert g.edges == range(len(g.edge_u))
+    for u, v, cls in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_class.tolist()):
+        if cls == SHUTTLE_EDGE:
+            assert g.node_pos[u] in (0, 3) and g.node_pos[v] in (0, 3)
+            assert g.node_trap[u] != g.node_trap[v]
         else:
-            assert g.node_trap[e.u] == g.node_trap[e.v]
-
-
-@pytest.mark.parametrize("topology", [linear_topology(4, 5), grid_topology(2, 3, 4),
-                                      star_topology(4, 3)])
-def test_is_shuttle_agrees_with_the_edge_class(topology):
-    graph = to_graph(topology)
-    assert any(e.is_shuttle for e in graph.edges)
-    assert any(not e.is_shuttle for e in graph.edges)
-    for i, e in enumerate(graph.edges):
-        assert e.is_shuttle == (graph.edge_class[i] == SHUTTLE_EDGE)
+            assert g.node_trap[u] == g.node_trap[v]
 
 
 def test_classify_rules():
@@ -241,9 +232,10 @@ GRAPH_CASES = [
 
 def loop_built_edges(topology, params):
     """The slot graph's edges as nested Python loops build them, in edge
-    order: (u, v, weight, segments, junctions).  Intra edges trap by trap,
-    slot pairs in row-major order; then, per trap pair in the order its
-    first path is listed, the cheapest path's four end-slot edges."""
+    order: (u, v, weight, segments, junctions), with segments 0 and no
+    junctions for an intra edge.  Intra edges trap by trap, slot pairs in
+    row-major order; then, per trap pair in the order its first path is
+    listed, the cheapest path's four end-slot edges."""
     slots, n = {}, 0
     for trap in topology.traps:
         slots[trap.id] = list(range(n, n + trap.capacity))
@@ -272,27 +264,37 @@ def loop_built_edges(topology, params):
 @pytest.mark.parametrize("topology, params", GRAPH_CASES)
 def test_array_built_graph_equals_the_loop_built_one(topology, params):
     """Same edges in the same order, every weight equal under ``==`` (so
-    bit-equal), and the per-edge arrays read the same edges."""
+    bit-equal): the per-edge arrays hold the endpoints, weights and classes,
+    and each shuttle edge's trap pair has in ``trap_path`` the path whose
+    segments and junctions the loops gave it."""
     graph = to_graph(topology, params)
     expected = loop_built_edges(topology, params)
-    assert [(e.u, e.v, e.weight, e.segments, e.junctions) for e in graph.edges] == expected
-    assert all(type(e.u) is int and type(e.v) is int and type(e.weight) is float
-               for e in graph.edges)
+    assert graph.edges == range(len(expected))
     assert graph.edge_u.dtype == graph.edge_v.dtype == graph.edge_class.dtype == np.intp
+    assert graph.edge_weight.dtype == np.float64
     assert graph.edge_u.tolist() == [e[0] for e in expected]
     assert graph.edge_v.tolist() == [e[1] for e in expected]
     assert graph.edge_weight.tolist() == [e[2] for e in expected]
     assert graph.edge_class.tolist() == [
         SHUTTLE_EDGE if seg else ADJACENT_EDGE if v - u == 1 else INTRA_EDGE
         for u, v, _, seg, _ in expected]
+    trap, routes = graph.node_trap, []
+    for u, v, w, cls in zip(graph.edge_u.tolist(), graph.edge_v.tolist(),
+                            graph.edge_weight.tolist(), graph.edge_class.tolist()):
+        if cls == SHUTTLE_EDGE:
+            path = graph.trap_path[trap[u], trap[v]]
+            routes.append((u, v, w, path.segments, path.junctions))
+    assert routes == [e for e in expected if e[3]]
+    # every path kept is some shuttle edge's, and the path of its trap pair
+    assert {(trap[u], trap[v]) for u, v, *_ in routes} == set(graph.trap_path)
 
 
 @pytest.mark.parametrize("topology, params", GRAPH_CASES)
 def test_edge_id_finds_every_edge_from_either_end(topology, params):
     graph = to_graph(topology, params)
-    for i, e in enumerate(graph.edges):
-        assert graph.edge_id(e.u, e.v) == graph.edge_id(e.v, e.u) == i
-        assert graph.edge(e.v, e.u) is e
+    for i, u, v in zip(graph.edges, graph.edge_u.tolist(), graph.edge_v.tolist()):
+        assert u < v
+        assert graph.edge_id(u, v) == graph.edge_id(v, u) == i
 
 
 @pytest.mark.parametrize("topology", [MIXED, ONE_TRAP, linear_topology(3, 3)])
@@ -301,7 +303,8 @@ def test_edge_id_raises_key_error_where_no_edge_is(topology):
     past the last slot, and (on L3:3) the end slots of traps 0 and 2, which
     no path joins, have no edge."""
     graph = to_graph(topology)
-    index = {(e.u, e.v): i for i, e in enumerate(graph.edges)}
+    index = {(u, v): i for i, (u, v) in enumerate(zip(graph.edge_u.tolist(),
+                                                       graph.edge_v.tolist()))}
     n = graph.n_nodes
     for u in range(-2, n + 2):
         for v in range(-2, n + 2):

@@ -27,7 +27,8 @@ def reference_exact(circuit, graph, mapping, limits=None):
         last.update((q, g.id) for q in g.qubits)
     all_gates = frozenset(g.id for g in circuit.gates)
     node_trap = graph.node_trap
-    edge_class = graph.edge_class.tolist()
+    edges = list(zip(graph.edge_u.tolist(), graph.edge_v.tolist(), graph.edge_weight.tolist(),
+                     graph.edge_class.tolist()))
 
     def run_free_gates(slots, executed):
         node_of = {q: i for i, q in enumerate(slots) if q is not None}
@@ -59,15 +60,15 @@ def reference_exact(circuit, graph, mapping, limits=None):
             return cost
         if depth >= limits.max_depth:
             continue
-        for e, cls in zip(graph.edges, edge_class):
-            kind = EDGE_KINDS[cls][(slots[e.u] is not None) + (slots[e.v] is not None)]
+        for u, v, w, cls in edges:
+            kind = EDGE_KINDS[cls][(slots[u] is not None) + (slots[v] is not None)]
             if kind is None:
                 continue
             new_slots = list(slots)
-            new_slots[e.u], new_slots[e.v] = new_slots[e.v], new_slots[e.u]
+            new_slots[u], new_slots[v] = new_slots[v], new_slots[u]
             new_slots = tuple(new_slots)
             new_exec = run_free_gates(new_slots, executed)
-            new_cost = (cost[0] + e.weight,
+            new_cost = (cost[0] + w,
                         cost[1] + (1 if kind is EventKind.SHUTTLE else 0),
                         cost[2] + (1 if kind is EventKind.SWAP else 0))
             key = (new_slots, new_exec)
@@ -221,7 +222,7 @@ def bounds_along(circuit, graph, mapping, events):
         if ev.kind is EventKind.GATE:
             executed |= 1 << ev.gate_id
         else:
-            state.apply_generic_swap(graph.edge(*ev.slots))
+            state.apply_generic_swap(*ev.slots)
             left -= ev.kind is EventKind.SHUTTLE
         out.append((ev.kind, now(), left))
     return out

@@ -528,8 +528,9 @@ def test_drain_matches_reference_between_random_moves(c, seed):
         assert events == ref and dag.frontier == ref_dag.frontier
         if not len(dag):
             break
-        edge = graph.edges[rng.choice(scheduler.candidates(state, graph).tolist())]
-        assert state.apply_generic_swap(edge) == ref_state.apply_generic_swap(edge)
+        edge = rng.choice(scheduler.candidates(state, graph).tolist())
+        u, v = int(graph.edge_u[edge]), int(graph.edge_v[edge])
+        assert state.apply_generic_swap(u, v) == ref_state.apply_generic_swap(u, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -544,7 +545,8 @@ def test_ion_distance_equals_slot_walk(seed, family, capacity):
     state = MachineState(graph, dict(enumerate(slots)))
     for _ in range(40):
         found = scheduler.candidates(state, graph).tolist()
-        state.apply_generic_swap(graph.edges[rng.choice(found)])
+        edge = rng.choice(found)
+        state.apply_generic_swap(int(graph.edge_u[edge]), int(graph.edge_v[edge]))
         for qa in state.mapping:
             for qb in state.mapping:
                 if qa != qb and state.co_trapped(qa, qb):
@@ -675,12 +677,12 @@ def junction_contention():
     graph = to_graph(star_topology(4, 3))
 
     def shuttle(u, v):
-        e = graph.edge(u, v)
-        return EventRecord(EventKind.SHUTTLE, qubits=(0,), slots=(u, v),
-                           traps=(graph.node_trap[u], graph.node_trap[v]),
-                           segments=e.segments, junction_ids=e.junctions,
-                           junction_degrees=(4,) * len(e.junctions), weight=e.weight,
-                           chain_ions=1)
+        traps = (graph.node_trap[u], graph.node_trap[v])
+        path = graph.trap_path[traps]
+        return EventRecord(EventKind.SHUTTLE, qubits=(0,), slots=(u, v), traps=traps,
+                           segments=path.segments, junction_ids=path.junctions,
+                           junction_degrees=(4,) * len(path.junctions),
+                           weight=float(graph.edge_weight[graph.edge_id(u, v)]), chain_ions=1)
 
     gate = EventRecord(EventKind.GATE, qubits=(0, 1), gate_id=0, label="cx", slots=(3, 4),
                        traps=(1,), chain_ions=2)

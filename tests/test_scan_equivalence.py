@@ -32,16 +32,21 @@ def reference_kind(graph, u, v, slot_qubit):
     qubits swap on an intra edge (weight below shuttle_base); a qubit and a
     space shuttle on any other edge, or shift on an intra edge of weight
     inner_weight (adjacent slots); anything else allows none (None)."""
-    edge = graph.edge(u, v)
+    weight = graph.edge_weight[graph.edge_id(u, v)]
     qu, qv = slot_qubit[u] is not None, slot_qubit[v] is not None
-    below = edge.weight < graph.params.shuttle_base
+    below = weight < graph.params.shuttle_base
     if below and qu and qv:
         return EventKind.SWAP
     if qu != qv and not below:
         return EventKind.SHUTTLE
-    if qu != qv and edge.weight == graph.params.inner_weight:
+    if qu != qv and weight == graph.params.inner_weight:
         return EventKind.SHIFT
     return None
+
+
+def edge_pairs(graph):
+    """Each edge's slot pair (u, v), u < v, in edge order."""
+    return list(zip(graph.edge_u.tolist(), graph.edge_v.tolist()))
 
 
 def chain(caps, hops, parallel=False):
@@ -112,18 +117,18 @@ def prepare(spec, occupancy, moves, gates, delta, scale):
     slots = [n for n, full in enumerate(occupancy) if full]
     state = MachineState(graph, dict(enumerate(slots)))
     for pick in moves:  # drive the occupancy array through apply_generic_swap
-        valid = [e for e in graph.edges
-                 if reference_kind(graph, e.u, e.v, state.slot_qubit) in GENERIC]
+        valid = [(u, v) for u, v in edge_pairs(graph)
+                 if reference_kind(graph, u, v, state.slot_qubit) in GENERIC]
         if valid:
-            state.apply_generic_swap(valid[pick % len(valid)])
+            state.apply_generic_swap(*valid[pick % len(valid)])
     state.check_consistency()
     frontier = [(a, b, 1.0 + delta if recent else 1.0) for a, b, recent in gates]
     return graph, state, frontier
 
 
 def classify_loop(state, graph):
-    return [i for i, e in enumerate(graph.edges)
-            if reference_kind(graph, e.u, e.v, state.slot_qubit) in GENERIC]
+    return [i for i, (u, v) in enumerate(edge_pairs(graph))
+            if reference_kind(graph, u, v, state.slot_qubit) in GENERIC]
 
 
 # trap 0 full, trap 1 with one space at its receiving end: the shuttle both
@@ -139,8 +144,8 @@ def test_candidate_mask_equals_classify_loop(scan):
     graph, state, _ = prepare(*scan)
     found = candidates(state, graph)
     assert found.tolist() == classify_loop(state, graph)
-    for e in graph.edges:
-        assert state.classify(e.u, e.v) is reference_kind(graph, e.u, e.v, state.slot_qubit)
+    for u, v in edge_pairs(graph):
+        assert state.classify(u, v) is reference_kind(graph, u, v, state.slot_qubit)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -153,19 +158,38 @@ def test_vectorised_scores_equal_heuristic_h(scan):
     if not len(found):
         return
     fast = heuristic_scores(found, state, graph, frontier, dist).tolist()
-    slow = [heuristic_h(graph.edges[i], state, frontier, dist.tolist()) for i in found.tolist()]
+    slow = [heuristic_h(u, v, state, frontier, dist.tolist())
+            for u, v in zip(graph.edge_u[found].tolist(), graph.edge_v[found].tolist())]
     assert fast == slow
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scans())
+@example(FULL_TO_ONE)
+def test_a_move_is_the_same_from_either_slot(scan):
+    """``apply_generic_swap`` orders the slot pair itself: from either end
+    every candidate makes the same event and the same placement, and a swap
+    or a shift names the lower slot first."""
+    graph, state, _ = prepare(*scan)
+    for u, v in edge_pairs(graph):
+        if state.classify(u, v) is None:
+            continue
+        a, b = MachineState(graph, state.mapping), MachineState(graph, state.mapping)
+        ev = a.apply_generic_swap(u, v)
+        assert ev == b.apply_generic_swap(v, u)
+        assert a.slot_qubit == b.slot_qubit
+        if ev.kind is not EventKind.SHUTTLE:
+            assert ev.slots == (u, v)
 
 
 def test_full_to_one_example_moves_the_penalty():
     """The explicit example really has a shuttle whose score carries the
     penalty terms, so the property above covers them on every run."""
     graph, state, frontier = prepare(*FULL_TO_ONE)
-    shuttle = graph.edge(2, 3)
     assert state.classify(2, 3) is EventKind.SHUTTLE
     assert state.spaces == {0: set(), 1: {0}}
     dist = distance_table(graph).tolist()
-    h = heuristic_h(shuttle, state, frontier, dist)
+    h = heuristic_h(2, 3, state, frontier, dist)
     # q2 lands next to q3, one intra step apart, and the penalty stays at one
     # spaceless trap: trap 0 gains a space (-1) and trap 1 fills up (+1); the
     # shuttle's own weight is not part of the score

@@ -12,7 +12,7 @@ from qccdc import (Circuit, DeviceFull, EventKind, Gate, Junction, build_dag,
                    replay, schedule, star_topology, to_graph, topology_from_json)
 from qccdc import scheduler
 from qccdc.bench import qft
-from qccdc.device import EDGE_KINDS
+from qccdc.device import EDGE_KINDS, SHUTTLE_EDGE
 from qccdc.scheduler import _EscapePlanner, _trap_route, candidates, plan_escape
 from qccdc.state import MachineState
 
@@ -88,8 +88,8 @@ def test_candidates_match_classification():
     assert list(found) == sorted(found)  # edge order
     kinds = {}
     for i in found:
-        e = g.edges[i]
-        kinds[(e.u, e.v)] = EDGE_KINDS[g.edge_class[i]][st.occupied[e.u] + st.occupied[e.v]].value
+        u, v = int(g.edge_u[i]), int(g.edge_v[i])
+        kinds[(u, v)] = EDGE_KINDS[g.edge_class[i]][st.occupied[u] + st.occupied[v]].value
     assert kinds[(0, 1)] == "swap"
     assert kinds[(1, 2)] == "shift"
     assert (2, 4) not in kinds      # no edge between end slot and interior
@@ -189,11 +189,13 @@ def two_paths(direct_first):
 @pytest.mark.parametrize("direct_first", [True, False])
 def test_parallel_paths_keep_the_cheapest_edge(direct_first):
     g = to_graph(two_paths(direct_first), WeightParams())
-    pairs = [(e.u, e.v) for e in g.edges]
+    pairs = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
     assert len(pairs) == len(set(pairs))  # one edge per slot pair
-    shuttles = [e for e in g.edges if e.is_shuttle]
-    assert len(shuttles) == 4
-    assert all((e.segments, e.weight, e.junctions) == (1, 2.0, (0,)) for e in shuttles)
+    shuttles = g.edge_class == SHUTTLE_EDGE
+    assert shuttles.sum() == 4
+    assert g.edge_weight[shuttles].tolist() == [2.0] * 4
+    direct = g.trap_path[0, 1]
+    assert (direct.segments, direct.junctions) == (1, (0,))
 
     c = qft(6)
     s = schedule(c, g, initial_mapping(c, g, MappingParams()))
@@ -201,8 +203,8 @@ def test_parallel_paths_keep_the_cheapest_edge(direct_first):
     moved = [e for e in s.events if e.kind is EventKind.SHUTTLE]
     assert moved
     for ev in moved:
-        edge = g.edge(*ev.slots)
-        assert (ev.segments, ev.weight) == (edge.segments, edge.weight)
+        assert (ev.segments, ev.junction_ids, ev.weight) == (
+            direct.segments, direct.junctions, g.edge_weight[g.edge_id(*ev.slots)])
 
 
 def test_parallel_path_tie_keeps_the_first_listed():
@@ -210,7 +212,7 @@ def test_parallel_path_tie_keeps_the_first_listed():
                     (Path(0, 1, 2, (0,)), Path(0, 1, 2, (1,))),
                     (Junction(0, 2), Junction(1, 2)))
     g = to_graph(topo, WeightParams())
-    assert {e.junctions for e in g.edges if e.is_shuttle} == {(0,)}
+    assert g.trap_path == {(0, 1): topo.paths[0]}
     assert g.trap_adj == {0: [(1, 2.0)], 1: [(0, 2.0)]}
 
 
@@ -285,7 +287,7 @@ def test_plan_escape_leaves_the_state_as_it_found_it():
     assert snapshot(state) == before
     assert [(g.node_trap[u], g.node_trap[v]) for u, v in plan] == [(2, 3), (1, 2), (0, 1)]
     for u, v in plan:
-        state.apply_generic_swap(g.edge(u, v))
+        state.apply_generic_swap(u, v)
     assert state.co_trapped(0, 3)
     state.check_consistency()
 
@@ -322,7 +324,8 @@ def test_plan_escape_tie_moves_the_operand_with_fewer_two_qubit_gates_left():
 
     def movers():
         plans = [plan_escape(state, g, a, b, dag) for a, b in ((0, 1), (1, 0))]
-        assert all(len(plan) == 1 and g.edge(*plan[0]).is_shuttle for plan in plans)
+        assert all(len(plan) == 1 and g.edge_class[g.edge_id(*plan[0])] == SHUTTLE_EDGE
+                   for plan in plans)
         return [state.slot_qubit[plan[0][0]] for plan in plans]
 
     # q1 has three two-qubit gates left and q0 two
@@ -331,3 +334,17 @@ def test_plan_escape_tie_moves_the_operand_with_fewer_two_qubit_gates_left():
     dag.pop(0)
     dag.pop(1)
     assert movers() == [1, 1]
+
+
+def test_a_planner_move_named_high_slot_first_still_marks_the_undo():
+    """The planner names moves in move order, the scan each edge low slot
+    first; the edge just applied is kept in the scan's order, so the key's
+    undo mark still finds it after a planner move such as (5, 2)."""
+    g = to_graph(linear_topology(4, 2), WeightParams())
+    c = Circuit(7, tuple(Gate(i, "cx", qs) for i, qs in enumerate(
+        [(1, 3), (2, 4), (3, 4), (0, 5), (4, 1)])))
+    s = schedule(c, g, {0: 0, 1: 1, 2: 3, 3: 4, 4: 5, 5: 6, 6: 7})
+    assert not replay(s)
+    assert [ev.slots for ev in s.events if ev.kind is not EventKind.GATE] == [
+        (5, 2), (2, 5), (4, 2), (3, 4), (0, 3), (2, 0), (5, 2), (3, 5), (0, 3), (2, 0),
+        (4, 2), (6, 4)]

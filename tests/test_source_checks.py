@@ -21,11 +21,12 @@ a digest was taken.  No code of the program assigns or deletes an attribute
 named like an event field (outside a class's own ``self``), by statement or
 by ``setattr``; changed events are derived with ``dataclasses.replace``.
 ``Gate`` is slotted and mutable too, and the same check holds for the
-names of its fields: a circuit's gates stay as parsed or generated.  So is
-the graph's ``Edge``, whose fields must match the graph's per-edge arrays:
-no code writes an edge field either.  A slotted, non-frozen dataclass is
-not hashable, so nothing may hash an edge or a gate; the tier-1 runs of
-every compile path would raise ``TypeError`` if anything did.
+names of its fields: a circuit's gates stay as parsed or generated.  A
+slotted, non-frozen dataclass is not hashable, so nothing may hash a gate;
+the tier-1 runs of every compile path would raise ``TypeError`` if anything
+did.  An edge is an id into the graph's per-edge arrays, which are
+read-only, and a shuttle's route is a frozen ``Path``: writing either
+raises.
 """
 
 import ast
@@ -36,7 +37,6 @@ import pytest
 
 import qccdc
 from qccdc.circuit import Gate
-from qccdc.device import Edge
 from qccdc.events import EventRecord
 
 SRC = Path(qccdc.__file__).parent
@@ -184,7 +184,6 @@ def test_the_import_check_sees_what_it_forbids(tmp_path):
 
 EVENT_FIELDS = frozenset(f.name for f in dataclasses.fields(EventRecord))
 GATE_FIELDS = frozenset(f.name for f in dataclasses.fields(Gate))
-EDGE_FIELDS = frozenset(f.name for f in dataclasses.fields(Edge))
 
 
 def field_writes(path, fields):
@@ -270,35 +269,23 @@ def test_the_gate_write_check_sees_what_it_forbids(tmp_path):
         "bad.py:16: __setattr__(g, 'param', 0.5)"]
 
 
-def test_no_code_changes_an_edge_after_it_is_built():
-    assert EDGE_FIELDS == {"u", "v", "weight", "segments", "junctions"}
-    paths = [p for d in PROGRAM for p in sorted(d.rglob("*.py"))]
-    assert paths
-    assert [o for p in paths for o in field_writes(p, EDGE_FIELDS)] == []
+@pytest.mark.parametrize("name", ["edge_u", "edge_v", "edge_weight", "edge_class"])
+def test_the_per_edge_arrays_are_read_only(name):
+    array = getattr(qccdc.to_graph(qccdc.parse_topology_spec("G2x2:3")), name)
+    before = array.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[1]
+    with pytest.raises(ValueError, match="read-only"):
+        array[-4:] *= 2
+    assert array.tolist() == before
 
 
-def test_the_edge_write_check_sees_what_it_forbids(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("class Ok:\n"
-                   "    def __init__(self):\n"
-                   "        self.u, self.v = 0, 1\n"
-                   "def f(graph, e, path):\n"
-                   "    graph.edges[3].weight *= 2\n"
-                   "    del e.segments\n"
-                   "    setattr(e, 'junctions', ())\n"
-                   "    Edge.__setattr__(e, 'weight', 0.0)\n"
-                   "    e.__delattr__('v')\n"
-                   "    e.kind = None\n"
-                   "    setattr(graph, 'edge_u', None)\n"
-                   "    e.u, e.v = e.v, e.u\n"
-                   "    return e.u, path.segments\n")
-    assert field_writes(bad, EDGE_FIELDS) == [
-        "bad.py:5: graph.edges[3].weight", "bad.py:6: e.segments",
-        "bad.py:7: setattr(e, 'junctions', ())", "bad.py:8: Edge.__setattr__(e, 'weight', 0.0)",
-        "bad.py:9: e.__delattr__('v')", "bad.py:12: e.u", "bad.py:12: e.v"]
-
-
-def test_an_edge_is_not_hashable():
-    edge = qccdc.to_graph(qccdc.linear_topology(2, 2)).edges[0]
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(edge)
+def test_every_shuttle_route_is_a_frozen_path():
+    graph = qccdc.to_graph(qccdc.parse_topology_spec("S4:3"))
+    assert len(graph.trap_path) == 6
+    for (a, b), path in graph.trap_path.items():
+        assert type(path) is qccdc.Path and a < b and {path.trap_a, path.trap_b} == {a, b}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.segments = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(path, "junctions", ())

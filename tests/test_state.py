@@ -21,7 +21,7 @@ def heat_after(state, mapping, events, params):
 
 def test_swap_exchanges_mapping_without_heat():
     s = make_state({0: 0, 1: 1})
-    ev = s.apply_generic_swap(s.graph.edge(0, 1))
+    ev = s.apply_generic_swap(0, 1)
     assert s.mapping == {0: 1, 1: 0}
     assert ev.qubits == (0, 1)
     assert heat_after(s, {0: 0, 1: 1}, [ev], CostParams()) == {0: 0.0, 1: 0.0}
@@ -38,7 +38,7 @@ def test_shuttle_heat_arithmetic():
             "paths": [{"trap_a": 0, "trap_b": 1, "segments": 2, "junctions": [0]}],
         }), WeightParams())
     s = MachineState(g, {0: 0, 1: 1})
-    ev = s.apply_generic_swap(g.edge(1, 2))  # q1 shuttles into trap 1
+    ev = s.apply_generic_swap(1, 2)  # q1 shuttles into trap 1
     assert ev.kind.value == "shuttle" and ev.segments == 2
     for p in (CostParams(), CostParams(k1=0.3, k2=0.05)):
         assert heat_after(s, {0: 0, 1: 1}, [ev], p) == {0: 0.0, 1: p.k1 + 2 * p.k2}
@@ -78,6 +78,40 @@ def test_placement_outside_the_slots_is_rejected(slot, run):
         assert str(err.value) == msg
 
 
+BAD_QUBITS = [
+    ({0: 0, 1: 3, -1: 1}, "initial mapping places -1, not a qubit of the circuit"),
+    ({0: 0, True: 3}, "initial mapping places True, not a qubit of the circuit"),
+    ({0: 0, 1.0: 3}, "initial mapping places 1.0, not a qubit of the circuit"),
+    ({0: 0, 1: 3, "a": 1}, "initial mapping places 'a', not a qubit of the circuit"),
+    ({0: 0, 1: 3, 2: 1}, "initial mapping places 2, not a qubit of the circuit"),
+    ({0: 0}, "qubit 1 is not placed by the initial mapping"),
+]
+
+
+@pytest.mark.parametrize("run", [schedule, exact_schedule, replay_unscheduled])
+@pytest.mark.parametrize("mapping, msg", BAD_QUBITS, ids=repr)
+def test_placement_of_other_than_the_circuit_qubits_is_rejected(mapping, msg, run):
+    """The placement names exactly the circuit's qubits, as non-negative
+    ints (True and 1.0 would pass for qubit 1, and -1 would index the last
+    qubit's records).  The compilers raise one ValueError; replay reports it
+    as its one violation instead of reading a qubit that has no slot."""
+    c = qft(2)
+    g = to_graph(parse_topology_spec("L2:3"), WeightParams())
+    if run is replay_unscheduled:
+        assert run(c, g, mapping) == [msg]
+    else:
+        with pytest.raises(ValueError) as err:
+            run(c, g, mapping)
+        assert str(err.value) == msg
+
+
+@pytest.mark.parametrize("qubit", ["a", -1, True, 0.0, None])
+def test_machine_state_rejects_a_qubit_that_is_no_non_negative_int(qubit):
+    g = to_graph(parse_topology_spec("L2:3"), WeightParams())
+    with pytest.raises(ValueError, match="not a qubit of the circuit"):
+        MachineState(g, {qubit: 0})
+
+
 def test_replay_reports_a_slot_taken_twice():
     c = qft(2)
     g = to_graph(parse_topology_spec("L2:3"), WeightParams())
@@ -88,16 +122,16 @@ def test_replay_reports_a_slot_taken_twice():
 def test_invalid_swap_rejected():
     s = make_state({0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 5})  # no spaces at all
     with pytest.raises(ValueError):
-        s.apply_generic_swap(s.graph.edge(2, 3))  # shuttle needs a space
+        s.apply_generic_swap(2, 3)  # shuttle needs a space
 
 
 def test_space_recorder_tracks_occupancy():
     s = make_state({0: 0, 1: 1})
     assert s.spaces[0] == {2} and s.spaces[1] == {0, 1, 2}
-    s.apply_generic_swap(s.graph.edge(1, 2))  # shift q1 to the end slot
+    s.apply_generic_swap(1, 2)  # shift q1 to the end slot
     assert s.spaces[0] == {1}
     assert s.traps_without_space == 0
-    s.apply_generic_swap(s.graph.edge(2, 3))  # shuttle q1 into trap 1
+    s.apply_generic_swap(2, 3)  # shuttle q1 into trap 1
     assert s.spaces[0] == {1, 2}
     s.check_consistency()
 
@@ -106,14 +140,14 @@ def test_space_recorder_tracks_occupancy():
 def test_generic_swap_involution(moves):
     """Applying the same intra edge twice restores placement."""
     s = make_state({0: 0, 1: 1, 2: 3})
-    edges = [s.graph.edge(0, 1), s.graph.edge(1, 2), s.graph.edge(3, 4)]
+    edges = [(0, 1), (1, 2), (3, 4)]
     for idx in moves:
-        e = edges[idx]
-        if s.classify(e.u, e.v) not in (EventKind.SWAP, EventKind.SHIFT):
+        u, v = edges[idx]
+        if s.classify(u, v) not in (EventKind.SWAP, EventKind.SHIFT):
             continue
         before = list(s.slot_qubit)
-        s.apply_generic_swap(e)
-        s.apply_generic_swap(e)
+        s.apply_generic_swap(u, v)
+        s.apply_generic_swap(v, u)
         assert s.slot_qubit == before
         s.check_consistency()
 
@@ -129,9 +163,9 @@ def test_nbar_monotone_under_random_swaps():
     events = []
     prev = heat_after(s, start, events, p)
     for _ in range(200):
-        usable = [e for e in s.graph.edges
-                  if s.classify(e.u, e.v) is not None]
-        ev = s.apply_generic_swap(rng.choice(usable))
+        usable = [(u, v) for u, v in zip(s.graph.edge_u.tolist(), s.graph.edge_v.tolist())
+                  if s.classify(u, v) is not None]
+        ev = s.apply_generic_swap(*rng.choice(usable))
         events.append(ev)
         now = heat_after(s, start, events, p)
         assert all(now[t] >= prev[t] for t in now)

@@ -199,7 +199,7 @@ def reference_replay(sched):
                     f"{where}: edge ({u},{v}) classifies as "
                     f"{'invalid' if kind is None else kind.value}, not {ev.kind.value}")
                 continue
-            made = state.apply_generic_swap(graph.edge(u, v))
+            made = state.apply_generic_swap(u, v)
             if ev != made:
                 for name in MOVE_FIELDS:
                     got, want = getattr(ev, name), getattr(made, name)
