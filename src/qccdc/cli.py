@@ -111,7 +111,7 @@ def run_compile(args, capacity: int | None = None) -> dict:
                             te.event.traps[0] if te.event.traps else "",
                             "" if te.fidelity is None else te.fidelity])
     if args.snapshot:
-        final = MachineState(graph, sched.initial_mapping)
+        final = MachineState(graph, sched.initial_mapping, sched.circuit.n_qubits)
         for ev in sched.events:
             if ev.kind is not EventKind.GATE:
                 final.apply_generic_swap(*ev.slots)

@@ -198,7 +198,7 @@ def _hop_bound(circuit: Circuit, graph: DeviceGraph):
 
 def _replay_path(circuit, graph, mapping, path) -> Schedule:
     """Turn an edge sequence into a full event list (gates run greedily)."""
-    state = MachineState(graph, mapping)
+    state = MachineState(graph, mapping, circuit.n_qubits)
     dag = build_dag(circuit)
     events = []
     run_ready_gates(state, dag, events)

@@ -161,11 +161,11 @@ def candidates(state: MachineState, graph: DeviceGraph) -> np.ndarray:
 
 
 def _penalty_change(u: int, v: int, state: MachineState) -> int:
-    """Change in the number of spaceless traps if the generic swap on (u, v)
-    runs: none unless it is a shuttle, the one move between two traps."""
+    """Change in the number of spaceless traps if the shuttle on (u, v) runs.
+    A shuttle is the one move between two traps, so no other move changes it."""
     trap = state.graph.node_trap
     src, dst = (trap[u], trap[v]) if state.slot_qubit[u] is not None else (trap[v], trap[u])
-    return 0 if src == dst else (len(state.spaces[dst]) == 1) - (not state.spaces[src])
+    return (len(state.spaces[dst]) == 1) - (not state.spaces[src])
 
 
 def heuristic_h(u: int, v: int, state: MachineState, frontier_gates, dist) -> float:
@@ -187,7 +187,9 @@ def heuristic_h(u: int, v: int, state: MachineState, frontier_gates, dist) -> fl
     if qv is not None:
         moved[qv] = u
 
-    pen = state.traps_without_space + _penalty_change(u, v, state)
+    pen = state.traps_without_space
+    if state.graph.node_trap[u] != state.graph.node_trap[v]:  # a shuttle
+        pen += _penalty_change(u, v, state)
 
     best = np.inf
     mapping = state.mapping

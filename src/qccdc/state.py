@@ -21,11 +21,11 @@ reads, so each fact has one formula, and it builds no per-trap table.
 
 The constructor is the one check of a placement: qubits and slots are
 ``int`` indices (``bool`` excluded), where -1 or True would name a real
-entry, and given the circuit's qubit count it places exactly its qubits.
+entry, and it places exactly the circuit's qubits, ``0 .. n_qubits - 1``.
 
 A move names its edge by two slots, in either order: ``apply_generic_swap``
-reads the edge's class and weight from the graph's per-edge arrays and a
-shuttle's segments and junctions from ``DeviceGraph.trap_path``.
+takes the kind from ``classify``, the weight from the per-edge arrays and
+a shuttle's segments and junctions from ``DeviceGraph.trap_path``.
 
 One compile job owns one MachineState.  Every structural change goes through
 ``_exchange``, called by ``apply_generic_swap`` for real moves and by the
@@ -45,14 +45,12 @@ from .events import EventKind, EventRecord
 
 
 class MachineState:
-    def __init__(self, graph: DeviceGraph, mapping: dict[int, int],
-                 n_qubits: int | None = None):
+    def __init__(self, graph: DeviceGraph, mapping: dict[int, int], n_qubits: int):
         self.graph = graph
         n = graph.n_nodes
         slot_qubit: list[int | None] = [None] * n
-        top = np.inf if n_qubits is None else n_qubits
         for q, node in mapping.items():
-            if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q < top:
+            if isinstance(q, bool) or not isinstance(q, int) or not 0 <= q < n_qubits:
                 raise ValueError(f"initial mapping places {q!r}, not a qubit of the circuit")
             if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < n:
                 raise ValueError(f"initial mapping places qubit {q} at {node!r}, "
@@ -60,7 +58,7 @@ class MachineState:
             if slot_qubit[node] is not None:
                 raise ValueError(f"slot {node} assigned twice in the initial mapping")
             slot_qubit[node] = q
-        if len(mapping) < (n_qubits or 0):  # the qubits placed are distinct and below it
+        if len(mapping) < n_qubits:  # the qubits placed are distinct and below it
             missing = min(set(range(n_qubits)) - mapping.keys())
             raise ValueError(f"qubit {missing} is not placed by the initial mapping")
         self.slot_qubit = slot_qubit
@@ -129,10 +127,9 @@ class MachineState:
         g = self.graph
         if u > v:
             u, v = v, u
-        edge = g.edge_id(u, v)  # read as Python scalars: ``item`` makes no numpy scalar
+        kind = self.classify(u, v)
+        weight = g.edge_weight.item(g.edge_id(u, v))  # a float, not a numpy scalar
         qu, qv = self.slot_qubit[u], self.slot_qubit[v]
-        kind = EDGE_KINDS[g.edge_class.item(edge)][(qu is not None) + (qv is not None)]
-        weight = g.edge_weight.item(edge)
         mover = qu if qu is not None else qv  # the one qubit of a shift or shuttle
         trap = g.node_trap[u]
         if kind is EventKind.SWAP:

@@ -69,7 +69,7 @@ def test_shuttle_edges_connect_end_slots_only():
 def test_classify_rules():
     g = to_graph(linear_topology(2, 3), WeightParams())
     # slots 0 1 2 | 3 4 5 hold q0 q1 _ | q2 q3 _
-    s = MachineState(g, {0: 0, 1: 1, 2: 3, 3: 4})
+    s = MachineState(g, {0: 0, 1: 1, 2: 3, 3: 4}, 4)
     # rule 1/2: intra edge, both qubits: a SWAP, and a gate may run
     assert s.classify(0, 1) is EventKind.SWAP
     assert s.co_trapped(0, 1) and s.co_trapped(2, 3)

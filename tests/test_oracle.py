@@ -46,7 +46,7 @@ def reference_exact(circuit, graph, mapping, limits=None):
                 changed = True
         return frozenset(done)
 
-    start_slots = tuple(MachineState(graph, mapping).slot_qubit)
+    start_slots = tuple(MachineState(graph, mapping, circuit.n_qubits).slot_qubit)
     start_exec = run_free_gates(start_slots, frozenset())
     start_cost = (0.0, 0, 0)
     best_seen = {(start_slots, start_exec): start_cost}
@@ -210,7 +210,7 @@ def bounds_along(circuit, graph, mapping, events):
     """``_hop_bound`` before the first event and after each one, with the
     kind of that event and the shuttles left after it."""
     bound = _hop_bound(circuit, graph)
-    state = MachineState(graph, mapping)
+    state = MachineState(graph, mapping, circuit.n_qubits)
     executed = 0
     left = sum(ev.kind is EventKind.SHUTTLE for ev in events)
 

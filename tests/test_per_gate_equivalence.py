@@ -505,8 +505,8 @@ def test_drain_runs_promoted_gates_in_later_passes():
     graph = to_graph(linear_topology(2, 3))
     mapping = {0: 0, 1: 1, 2: 3, 3: 4}
     events, ref = [], []
-    assert run_ready_gates(MachineState(graph, mapping), build_dag(c), events) == 5
-    reference_run_ready_gates(MachineState(graph, mapping), build_dag(c), ref)
+    assert run_ready_gates(MachineState(graph, mapping, 4), build_dag(c), events) == 5
+    reference_run_ready_gates(MachineState(graph, mapping, 4), build_dag(c), ref)
     assert [e.gate_id for e in events] == [0, 1, 3, 2, 4]
     assert events == ref
 
@@ -519,7 +519,8 @@ def test_drain_matches_reference_between_random_moves(c, seed):
     rng = random.Random(seed)
     graph = to_graph(linear_topology(3, 3))
     mapping = dict(zip(range(c.n_qubits), rng.sample(range(graph.n_nodes), c.n_qubits)))
-    state, ref_state = MachineState(graph, mapping), MachineState(graph, mapping)
+    state, ref_state = (MachineState(graph, mapping, c.n_qubits),
+                        MachineState(graph, mapping, c.n_qubits))
     dag, ref_dag = build_dag(c), build_dag(c)
     events, ref = [], []
     for _ in range(30):
@@ -542,7 +543,7 @@ def test_ion_distance_equals_slot_walk(seed, family, capacity):
     graph = to_graph(topo)
     n_slots = graph.n_nodes
     slots = rng.sample(range(n_slots), rng.randint(2, n_slots - 1))
-    state = MachineState(graph, dict(enumerate(slots)))
+    state = MachineState(graph, dict(enumerate(slots)), len(slots))
     for _ in range(40):
         found = scheduler.candidates(state, graph).tolist()
         edge = rng.choice(found)

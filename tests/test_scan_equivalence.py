@@ -115,7 +115,7 @@ def scans(draw):
 def prepare(spec, occupancy, moves, gates, delta, scale):
     graph = to_graph(build(spec), WeightParams(inner_weight=0.001 * scale, shuttle_base=scale))
     slots = [n for n, full in enumerate(occupancy) if full]
-    state = MachineState(graph, dict(enumerate(slots)))
+    state = MachineState(graph, dict(enumerate(slots)), len(slots))
     for pick in moves:  # drive the occupancy array through apply_generic_swap
         valid = [(u, v) for u, v in edge_pairs(graph)
                  if reference_kind(graph, u, v, state.slot_qubit) in GENERIC]
@@ -174,7 +174,8 @@ def test_a_move_is_the_same_from_either_slot(scan):
     for u, v in edge_pairs(graph):
         if state.classify(u, v) is None:
             continue
-        a, b = MachineState(graph, state.mapping), MachineState(graph, state.mapping)
+        n = len(state.mapping)
+        a, b = MachineState(graph, state.mapping, n), MachineState(graph, state.mapping, n)
         ev = a.apply_generic_swap(u, v)
         assert ev == b.apply_generic_swap(v, u)
         assert a.slot_qubit == b.slot_qubit

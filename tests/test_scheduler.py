@@ -83,7 +83,7 @@ def test_schedule_builds_the_distance_table_once(monkeypatch, spec):
 
 def test_candidates_match_classification():
     g = to_graph(linear_topology(2, 3), WeightParams())
-    st = MachineState(g, {0: 0, 1: 1, 2: 3})
+    st = MachineState(g, {0: 0, 1: 1, 2: 3}, 3)
     found = candidates(st, g)
     assert list(found) == sorted(found)  # edge order
     kinds = {}
@@ -278,7 +278,7 @@ def test_plan_escape_leaves_the_state_as_it_found_it():
     Traps 0-2 of L4:3 are full, so routing q0 to q3 in trap 1 cascades an
     eviction through trap 2 into trap 3 first."""
     g = to_graph(linear_topology(4, 3), WeightParams())
-    state = MachineState(g, {q: q for q in range(9)})
+    state = MachineState(g, {q: q for q in range(9)}, 9)
     before = snapshot(state)
     for mover, stay in ((0, 3), (3, 0)):
         _EscapePlanner(state, g).route(mover, stay)
@@ -294,7 +294,7 @@ def test_plan_escape_leaves_the_state_as_it_found_it():
 
 def test_plan_escape_failing_mid_plan_leaves_the_state_unchanged(monkeypatch):
     g = to_graph(linear_topology(4, 3), WeightParams())
-    state = MachineState(g, {q: q for q in range(9)})
+    state = MachineState(g, {q: q for q in range(9)}, 9)
     before = snapshot(state)
     make_space = _EscapePlanner._make_space_in
 
@@ -316,7 +316,7 @@ def test_plan_escape_tie_moves_the_operand_with_fewer_two_qubit_gates_left():
     argument it is.  Executed gates and one-qubit gates do not count."""
     g = to_graph(linear_topology(2, 3), WeightParams())
     # slots 0 1 2 | 3 4 5 hold q0 q2 _ | _ _ q1
-    state = MachineState(g, {0: 0, 2: 1, 1: 5})
+    state = MachineState(g, {0: 0, 2: 1, 1: 5}, 3)
     dag = build_dag(Circuit(3, tuple(
         Gate(i, label, qubits) for i, (label, qubits) in enumerate(
             [("cx", (1, 2)), ("cx", (1, 2)), ("h", (1,)), ("h", (1,)),

@@ -9,7 +9,7 @@ from qccdc.bench import qft
 
 def make_state(mapping, n_traps=2, capacity=3):
     g = to_graph(linear_topology(n_traps, capacity), WeightParams())
-    return MachineState(g, mapping)
+    return MachineState(g, mapping, len(mapping))
 
 
 def heat_after(state, mapping, events, params):
@@ -37,7 +37,7 @@ def test_shuttle_heat_arithmetic():
             "junctions": [{"id": 0, "degree": 2}],
             "paths": [{"trap_a": 0, "trap_b": 1, "segments": 2, "junctions": [0]}],
         }), WeightParams())
-    s = MachineState(g, {0: 0, 1: 1})
+    s = MachineState(g, {0: 0, 1: 1}, 2)
     ev = s.apply_generic_swap(1, 2)  # q1 shuttles into trap 1
     assert ev.kind.value == "shuttle" and ev.segments == 2
     for p in (CostParams(), CostParams(k1=0.3, k2=0.05)):
@@ -48,11 +48,11 @@ def test_shuttle_heat_arithmetic():
 def test_ion_distance_skips_spaces():
     # trap of 5 slots: q0 _ q1 _ q2  -> 1 ion strictly between q0 and q2
     g = to_graph(linear_topology(2, 5), WeightParams())
-    s = MachineState(g, {0: 0, 1: 2, 2: 4})
+    s = MachineState(g, {0: 0, 1: 2, 2: 4}, 3)
     assert s.ion_distance(0, 2) == 1
     assert s.ion_distance(0, 1) == 0
     with pytest.raises(ValueError):
-        MachineState(g, {0: 0, 1: 5}).ion_distance(0, 1)
+        MachineState(g, {0: 0, 1: 5}, 2).ion_distance(0, 1)
 
 
 def replay_unscheduled(c, g, mapping):
@@ -109,7 +109,7 @@ def test_placement_of_other_than_the_circuit_qubits_is_rejected(mapping, msg, ru
 def test_machine_state_rejects_a_qubit_that_is_no_non_negative_int(qubit):
     g = to_graph(parse_topology_spec("L2:3"), WeightParams())
     with pytest.raises(ValueError, match="not a qubit of the circuit"):
-        MachineState(g, {qubit: 0})
+        MachineState(g, {qubit: 0}, 1)
 
 
 def test_replay_reports_a_slot_taken_twice():

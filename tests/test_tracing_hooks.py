@@ -37,6 +37,9 @@ def test_tracer_counts_the_scheduler_hooks_and_restores_them():
     # stopped going through the wrapped attributes would drop out of the count
     assert totals["build_dag"][0] == 2
     assert counts["planned_ops"] > 0 and counts["apply_generic_swap"] > 0
+    # each move classifies its edge through the counted method: the traced
+    # ``state.classify_calls`` would otherwise read 0 in the compile phase
+    assert counts["classify"] == counts["apply_generic_swap"]
     after = {(o, a): v for o in owners for a, v in vars(o).items() if callable(v)}
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())

@@ -159,7 +159,7 @@ def reference_replay(sched):
     violations = []
     graph = sched.graph
     circuit = sched.circuit
-    state = MachineState(graph, sched.initial_mapping)
+    state = MachineState(graph, sched.initial_mapping, circuit.n_qubits)
     on_qubit = build_dag(circuit).on_qubit
     cursor = [0] * circuit.n_qubits
     executed = set()
