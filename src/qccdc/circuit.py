@@ -188,7 +188,8 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
     Supported statements: ``OPENQASM 2.0``, a single qreg, creg (ignored),
     the one- and two-qubit gates in ONE_QUBIT_GATES / TWO_QUBIT_GATES,
     ``swap`` (expanded into the standard 3-CNOT sequence so explicit swaps
-    count as two-qubit gates), barrier and measure (both dropped).  An angle
+    count as two-qubit gates), barrier and measure (both dropped).  Gates with
+    equal operands share one ``qubits`` tuple.  An angle
     is a constant expression of numbers, ``pi``, ``+ - * /`` and parentheses
     with a finite value.  A statement naming any other gate is rejected
     before its angle and operands are read.
@@ -211,8 +212,12 @@ def parse_qasm(text: str, name: str = "qasm") -> Circuit:
             raise QasmError(f"bad qubit reference '{tok.strip()}'", line_no)
         return qubit(m.group(1), m.group(2), line_no)
 
+    # one operand tuple per distinct operand list, shared by its gates
+    operands: dict[tuple[int, ...], tuple[int, ...]] = {}
+    shared = operands.setdefault
+
     def add(label, qubits, param=None):
-        gates.append(Gate(len(gates), label, qubits, param))
+        gates.append(Gate(len(gates), label, shared(qubits, qubits), param))
 
     # statements are ';'-terminated; track line numbers for diagnostics.
     # Each line is split once and only its unterminated tail is carried

@@ -15,8 +15,12 @@ it completes (none if relaxed); ``Metrics.nbar`` is each trap's at the end.
 It reads the cost parameters once per call, not per event, and grades every
 gate and SWAP with ``gate_duration`` and ``gate_fidelity``, so malformed
 events raise the helpers' errors and AM1 gates at d = 0 warn once per event.
-It stores each event's start, duration and fidelity in flat lists indexed
-like ``sched.events``; ``Metrics.timeline`` builds ``TimedEvent``s on read.
+A grade depends only on the chain length, the ion distance and the trap's
+nbar, so each distinct triple is graded once per call and its events share
+the duration and fidelity floats (an AM1 gate at d = 0 is graded per event,
+so that it warns).  It stores each event's start, duration and fidelity in
+flat sequences indexed like ``sched.events``, the starts in an
+``array('d')``; ``Metrics.timeline`` builds ``TimedEvent``s on read.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import enum
 import math
 import operator
 import warnings
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -122,8 +127,9 @@ class TimedEvent:
 
 
 class Timeline(Sequence):
-    """Read-only timed events over a schedule's events and three lists indexed
-    like them; reading builds the ``TimedEvent``s, and it equals their list."""
+    """Read-only timed events over a schedule's events and three sequences
+    indexed like them; reading builds the ``TimedEvent``s, and it equals
+    their list."""
 
     __slots__ = ("_columns",)
 
@@ -149,7 +155,8 @@ class Timeline(Sequence):
 @dataclass
 class Metrics:
     """The grade of one schedule.  ``timeline`` is a ``Timeline`` from
-    ``evaluate``, built on read from stored lists, or a list of ``TimedEvent``s."""
+    ``evaluate``, built on read from stored sequences, or a list of
+    ``TimedEvent``s."""
 
     makespan_us: float
     success_rate: float
@@ -173,6 +180,12 @@ class Metrics:
         return d
 
 
+# enum members read once: a member lookup costs about 0.15 us on Python 3.11,
+# which shows on schedules of a handful of events
+_KINDS = (EventKind.GATE, EventKind.SWAP, EventKind.SHIFT, EventKind.SHUTTLE)
+_AM1 = GateFamily.AM1
+
+
 def evaluate(sched: Schedule, params: CostParams | None = None, *,
              relax_swap: bool = False, relax_shuttle: bool = False) -> Metrics:
     """Time and grade a schedule; relax flags zero out inserted-op costs for
@@ -182,15 +195,30 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
     one_us, one_fidelity = params.single_qubit_duration, params.single_qubit_fidelity
     shift_us = 0.0 if relax_swap else params.space_shift_us
     k1, k2 = params.k1, params.k2
-    GATE, SWAP, SHIFT, SHUTTLE = (EventKind.GATE, EventKind.SWAP, EventKind.SHIFT,
-                                  EventKind.SHUTTLE)
+    GATE, SWAP, SHIFT, SHUTTLE = _KINDS
     ready: dict[object, float] = {}
     ready_at = ready.get
     nbar: dict[int, float] = {t.id: 0.0 for t in sched.graph.topology.traps}
     success = 1.0
     makespan = 0.0
-    starts, durations, fidelities = [], [], []
+    starts, durations, fidelities = array("d"), [], []
     add_start, add_duration, add_fidelity = starts.append, durations.append, fidelities.append
+    grades: dict[tuple, tuple[float, float]] = {}
+    warns_at_zero = family is _AM1
+
+    def grade(ev: EventRecord) -> tuple[float, float]:
+        """One two-qubit gate's (duration, fidelity) on the event's chain,
+        computed once per distinct (N, d, nbar of the trap) in this call; an
+        AM1 gate at d = 0 is graded afresh, so it warns once per event."""
+        key = (ev.chain_ions, ev.ion_dist, nbar[ev.traps[0]])
+        graded = grades.get(key)
+        if graded is None:
+            n, d, heat = key
+            tau = gate_duration(family, n, d)
+            graded = tau, gate_fidelity(tau, n, heat, params)
+            if not (warns_at_zero and d == 0):
+                grades[key] = graded
+        return graded
 
     for ev in sched.events:
         kind = ev.kind
@@ -198,8 +226,7 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
         fidelity = None
         if kind is GATE:
             if len(ev.qubits) == 2:
-                dur = gate_duration(family, ev.chain_ions, ev.ion_dist)
-                fidelity = gate_fidelity(dur, ev.chain_ions, nbar[traps[0]], params)
+                dur, fidelity = grade(ev)
             else:
                 dur = one_us
                 fidelity = one_fidelity
@@ -207,10 +234,9 @@ def evaluate(sched: Schedule, params: CostParams | None = None, *,
             if relax_swap:
                 dur = 0.0
             else:
-                one = gate_duration(family, ev.chain_ions, ev.ion_dist)
+                one, fidelity = grade(ev)
                 dur = params.swap_gate_multiplier * one
-                fidelity = gate_fidelity(one, ev.chain_ions, nbar[traps[0]],
-                                         params) ** params.swap_gate_multiplier
+                fidelity **= params.swap_gate_multiplier
         elif kind is SHIFT:
             dur = shift_us
         elif kind is SHUTTLE:

@@ -7,7 +7,10 @@ longer stops a caller from changing an event after ``replay`` checked it or a
 digest was taken; ``tests/test_source_checks.py`` checks instead that no code
 of the program assigns or deletes an event's field.  Nothing hashes an event;
 events compare field by field, and ``dataclasses.replace`` derives changed
-copies.
+copies.  Events may share their immutable tuple fields: the gate events of
+one ``run_ready_gates`` call hold one ``traps`` tuple per trap and one
+``slots`` tuple per slot pair, and a gate event's ``qubits`` is its gate's,
+which the parser shares among gates with equal operands.
 """
 
 from __future__ import annotations

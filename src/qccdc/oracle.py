@@ -31,6 +31,14 @@ smallest (cost, path) that reached it.  Among equal-cost optima the search
 therefore returns the smallest edge sequence, deterministically.  States
 are deduplicated on (occupancy, executed set) regardless of depth, so the
 depth limit ``max_depth`` applies to the cheapest path to each state.
+
+The bound also prunes by depth: a path is neither pushed nor recorded when
+its length plus h exceeds ``max_depth``.  Each of the h hops still needed
+takes at least one more operation, and as no operation lowers h by more
+than one, no extension of such a path finishes within the limit either.
+Not recorded, a pruned path no longer keeps a costlier but shorter path
+out of its state, so a search can now find a schedule, or a cheaper one,
+that such a path used to keep out.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
                    limits: OracleLimits | None = None) -> Schedule | Infeasible:
     """Minimum inserted-weight schedule by A* search, or Infeasible."""
     limits = limits or OracleLimits()
+    max_depth = limits.max_depth
     gates = circuit.gates
     n_two_q = sum(g.is_two_qubit for g in gates)
     if graph.n_nodes > limits.max_nodes:
@@ -134,7 +143,8 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
             continue
         if executed == all_gates:
             return _replay_path(circuit, graph, mapping, path)
-        if len(path) >= limits.max_depth:
+        depth = len(path) + 1  # of every path pushed from this one
+        if depth > max_depth:
             continue
         weight, shuttles, swaps = cost
         for u, v, w, kinds, step in moves:
@@ -156,6 +166,8 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
             else:
                 new_traps, new_exec, new_h = traps, executed, h
                 new_cost = (weight + w, shuttles, swaps + (kind is SWAP))
+            if depth + new_h > max_depth:
+                continue  # each of the new_h hops left takes one more operation
             new_path = path + step
             key = (new_slots, new_exec)
             seen = best_seen.get(key)

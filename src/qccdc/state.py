@@ -17,7 +17,9 @@ slots among them, one ``list.count``.  The drain, run after every move,
 binds ``mapping``, ``node_trap``, ``DepGraph.pop`` and ``co_trapped``,
 ``ion_distance`` and ``chain_length`` once per call and builds each gate
 event positionally; those three are the methods ``apply_generic_swap``
-reads, so each fact has one formula, and it builds no per-trap table.
+reads, so each fact has one formula.  Within one call it calls them once
+per slot pair and per trap, and the call's gate events share the
+resulting tuples and ints.
 
 The constructor is the one check of a placement: qubits and slots are
 ``int`` indices (``bool`` excluded), where -1 or True would name a real
@@ -177,11 +179,19 @@ def run_ready_gates(state: MachineState, dag: DepGraph, events: list[EventRecord
     until a pass promotes none.  A gate a pass skips stays blocked in the
     next one, because gates move no ion, so this emits the events of passes
     over the whole frontier to a fixpoint.  Returns how many ran.
+
+    For the same reason a slot pair's ion distance and a trap's chain length
+    are fixed within one call: two dicts local to it keep, per occupied slot
+    pair (or single slot), its ``slots`` tuple and distance, and per trap its
+    ``traps`` tuple and chain length, so the gate events of one call share
+    those tuples and ints.
     """
     mapping, node_trap = state.mapping, state.graph.node_trap
     co_trapped, ion_distance, chain_length = (state.co_trapped, state.ion_distance,
                                               state.chain_length)
     pop, append, gates, GATE = dag.pop, events.append, dag.gates, EventKind.GATE
+    at_slots: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    in_trap: dict[int, tuple[tuple[int], int]] = {}
     ran = 0
     todo = sorted(dag.frontier)
     while todo:
@@ -192,16 +202,21 @@ def run_ready_gates(state: MachineState, dag: DepGraph, events: list[EventRecord
             if len(qubits) == 2:
                 if not co_trapped(*qubits):
                     continue
-                slots = (mapping[qubits[0]], mapping[qubits[1]])
-                dist = ion_distance(*qubits)
+                key = (mapping[qubits[0]], mapping[qubits[1]])
             else:
-                slots = (mapping[qubits[0]],)
-                dist = 0
+                key = (mapping[qubits[0]],)
+            placed = at_slots.get(key)
+            if placed is None:
+                placed = at_slots[key] = (key, ion_distance(*qubits) if len(key) == 2 else 0)
+            slots, dist = placed
             trap = node_trap[slots[0]]
+            chain = in_trap.get(trap)
+            if chain is None:
+                chain = in_trap[trap] = ((trap,), chain_length(trap))
             # positional, in the field order ``test_event_record_contract``
             # pins: a keyword build costs about a third more per event
-            append(EventRecord(GATE, qubits, gid, g.label, slots, (trap,), 0, (), (), 0.0,
-                               chain_length(trap), dist))
+            append(EventRecord(GATE, qubits, gid, g.label, slots, chain[0], 0, (), (), 0.0,
+                               chain[1], dist))
             promoted += pop(gid)
             ran += 1
         todo = sorted(promoted)

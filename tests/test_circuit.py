@@ -208,3 +208,17 @@ def test_openqasm_version_other_than_2_0_rejected(header, version):
 @pytest.mark.parametrize("header", ["OPENQASM 2.0", "openqasm\t2.0", "OpenQASM  2.0 "])
 def test_openqasm_2_0_accepted(header):
     assert parse_qasm(f"{header};\nqreg q[1];\nh q[0];\n").n_qubits == 1
+
+
+def test_gates_with_equal_operands_share_one_tuple():
+    """One operand tuple per distinct operand list, swap's three CNOTs
+    included."""
+    c = parse_qasm("qreg q[3];\ncx q[0], q[1];\nh q[0];\nrz(0.5) q[0];\ncx q[0],q[1];\n"
+                   "swap q[1], q[0];\ncz q[1], q[0];\nh q[2];\n")
+    by_value = {}
+    for g in c.gates:
+        by_value.setdefault(g.qubits, set()).add(id(g.qubits))
+    assert sorted(by_value) == [(0,), (0, 1), (1, 0), (2,)]
+    assert all(len(ids) == 1 for ids in by_value.values())
+    assert [g.qubits for g in c.gates] == [(0, 1), (0,), (0,), (0, 1), (1, 0), (0, 1),
+                                           (1, 0), (1, 0), (2,)]

@@ -173,3 +173,21 @@ def test_cost_params_validation():
             with pytest.raises(ValueError, match=name):
                 CostParams(**{name: bad})
         CostParams(**{name: 0.0})
+
+
+def test_equal_gate_grades_share_their_floats():
+    """A two-qubit grade depends on (chain_ions, ion_dist, nbar of the trap)
+    alone, so one ``evaluate`` grades each distinct triple once and its
+    events share the duration and fidelity floats."""
+    s, p = make_schedule(), CostParams()
+    m = evaluate(s, p)
+    by_key = {}
+    nbar = {t: 0.0 for t in m.nbar}
+    for te in m.timeline:
+        ev = te.event
+        if ev.kind is EventKind.SHUTTLE:
+            nbar[ev.traps[1]] += p.k1 + p.k2 * ev.segments
+        elif ev.kind is EventKind.GATE and len(ev.qubits) == 2:
+            key = (ev.chain_ions, ev.ion_dist, nbar[ev.traps[0]])
+            by_key.setdefault(key, set()).add((id(te.duration_us), id(te.fidelity)))
+    assert sum(map(len, by_key.values())) == len(by_key) < s.metrics["two_qubit_gates"]

@@ -7,7 +7,8 @@ from qccdc import (BoundMode, Circuit, Gate, Infeasible, OracleLimits,
                    WeightParams, evaluate, exact_schedule, ideal_bounds,
                    linear_topology, random_instance, replay, schedule,
                    to_graph)
-from qccdc.device import EDGE_KINDS
+from qccdc import oracle
+from qccdc.device import EDGE_KINDS, Junction, Path, Topology, Trap
 from qccdc.events import EventKind
 from qccdc.oracle import _hop_bound
 from qccdc.state import MachineState
@@ -276,3 +277,52 @@ def test_bound_sums_hops_over_qubit_disjoint_gates():
     # with every other gate executed, the bound is one gate's hop count
     assert max(bound(traps, 0b11 ^ 1 << gate.id) for gate in gates) == 1
     assert optimum(exact_schedule(c, g, mapping))[1] >= 2
+
+
+def test_depth_pruning_pushes_only_paths_that_can_still_finish(monkeypatch):
+    """No path is pushed whose length plus the hop bound exceeds the depth
+    limit, and the result is still the reference's, on draws that need more
+    shuttles than the limit allows as well as ones that fit."""
+    pushed = []
+
+    class CountingHeap:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, entry):
+            pushed.append((len(entry[1]), entry[-1]))
+            heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(oracle, "heapq", CountingHeap)
+    rng = random.Random(31)
+    depth, verdicts = 3, set()
+    for _ in range(40):
+        c, g, m = random_instance(rng, max_traps=4, max_gates=5)
+        limits = OracleLimits(max_depth=depth)
+        got = exact_schedule(c, g, m, limits)
+        assert optimum(got) == reference_exact(c, g, m, limits)
+        verdicts.add(isinstance(got, Infeasible))
+    assert verdicts == {True, False}
+    assert pushed and all(length + h <= depth for length, h in pushed)
+
+
+def test_a_pruned_path_no_longer_blocks_a_shorter_one():
+    """Four traps in a chain, and a two-junction path from trap 1 to trap 3.
+    The best schedule within three moves takes the dear path, (5.0, 3, 0);
+    a search over (state, depth) pairs finds the same.  Without depth
+    pruning, a cheaper path of more moves is recorded first for a state on
+    the way and keeps the shorter one out, so the reference, which keeps
+    that rule, finds nothing; pruned as too long to finish, that path blocks
+    nothing, and the search finds the schedule."""
+    topo = Topology(tuple(Trap(i, c) for i, c in enumerate((3, 3, 2, 3))),
+                    (Path(0, 1), Path(1, 2), Path(2, 3), Path(1, 3, 1, (1, 2))),
+                    tuple(Junction(j, 3) for j in range(3)))
+    g = to_graph(topo, WeightParams())
+    c = Circuit(4, (Gate(0, "cx", (2, 0)), Gate(1, "cx", (1, 0))))
+    mapping = {0: 8, 1: 2, 2: 1, 3: 0}
+    limits = OracleLimits(max_depth=3)
+    s = exact_schedule(c, g, mapping, limits)
+    assert optimum(s) == (5.0, 3, 0) and not replay(s)
+    assert reference_exact(c, g, mapping, limits) == Infeasible(3)
+    assert optimum(exact_schedule(c, g, mapping, OracleLimits(max_depth=4))) == \
+        reference_exact(c, g, mapping, OracleLimits(max_depth=4))

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qccdc import (Circuit, CostParams, EventKind, MachineState, Schedule,
-                   WeightParams, evaluate, exact_schedule, linear_topology,
+from qccdc import (Circuit, CostParams, EventKind, Gate, MachineState, Schedule,
+                   WeightParams, build_dag, evaluate, exact_schedule, linear_topology,
                    parse_topology_spec, replay, schedule, to_graph)
 from qccdc.bench import qft
+from qccdc.state import run_ready_gates
 
 
 def make_state(mapping, n_traps=2, capacity=3):
@@ -174,3 +175,25 @@ def test_nbar_monotone_under_random_swaps():
         assert now == prev
     assert sum(ev.kind is EventKind.SHUTTLE for ev in events) > 0
     s.check_consistency()
+
+
+def test_one_drain_shares_each_traps_and_slots_tuple():
+    """Gates move no ion, so within one drain every gate event on a trap
+    holds one ``traps`` tuple and equal slot pairs one ``slots`` tuple."""
+    g = to_graph(linear_topology(2, 4), WeightParams())
+    mapping = {0: 0, 1: 1, 2: 2, 3: 4, 4: 5}
+    gates = [Gate(i, label, qubits) for i, (label, qubits) in enumerate(
+        [("cx", (0, 1)), ("h", (0,)), ("cx", (0, 1)), ("cx", (3, 4)), ("cx", (1, 2)),
+         ("h", (0,)), ("cx", (0, 1)), ("cx", (3, 4)), ("h", (3,))])]
+    c = Circuit(5, tuple(gates))
+    state, events = MachineState(g, mapping, 5), []
+    assert run_ready_gates(state, build_dag(c), events) == len(gates)
+    for field in ("traps", "slots"):
+        by_value = {}
+        for ev in events:
+            by_value.setdefault(getattr(ev, field), set()).add(id(getattr(ev, field)))
+        assert len(by_value) == (2 if field == "traps" else 5)
+        assert all(len(ids) == 1 for ids in by_value.values()), field
+    assert {ev.slots: ev.ion_dist for ev in events} == {(0, 1): 0, (0,): 0, (4, 5): 0,
+                                                        (1, 2): 0, (4,): 0}
+    assert {ev.traps: ev.chain_ions for ev in events} == {(0,): 3, (1,): 2}

@@ -8,7 +8,10 @@ every workload of ``BENCHMARK.json``, each of ``--runs`` seeds from
 ``--first-seed`` on runs ``benchmarks/run.py`` for the file's
 ``run_seconds`` once in each checkout with that seed: a pair.  Pairs
 alternate which side runs first, so both sides share the host's slow and
-fast spells.  The output holds,
+fast spells.  Every run imports from source alike: it reads and writes no
+bytecode cache, so each import compiles the modules it loads, the standard
+library's and numpy's included, which adds to ``setup_s`` and
+``peak_rss_mb`` on both sides.  The output holds,
 per workload and side, the median and quartiles of the eight end-to-end
 metrics, the operations attempted and failed and whether every run was
 correct; per workload, in how many pairs the change read lower on each
@@ -19,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy
@@ -31,10 +36,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``benchmarks/run.py`` run; its last output line as a dict."""
-    proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
-                          cwd=checkout, capture_output=True, text=True, check=True)
+    """One ``benchmarks/run.py`` run; its last output line as a dict.
+
+    The run writes no bytecode and looks for it only under a fresh, empty
+    ``PYTHONPYCACHEPREFIX``, so it reads no ``__pycache__`` that an earlier
+    run left in either checkout."""
+    with tempfile.TemporaryDirectory() as prefix:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
+        proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", str(seconds)],
+                              cwd=checkout, env=env, capture_output=True, text=True,
+                              check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
