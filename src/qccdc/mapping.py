@@ -30,8 +30,9 @@ class MappingParams:
     strategy: Strategy = Strategy.GATHERING
 
     def __post_init__(self):
-        if self.lookahead_k < 1:
-            raise ValueError("lookahead_k must be >= 1")
+        k = self.lookahead_k
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"lookahead_k must be an integer >= 1, not {k!r}")
         for name in ("alpha", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -82,13 +83,8 @@ def _interaction_order(circuit: Circuit, layers: list[int]) -> list[int]:
 
     placed: list[int] = []
     remaining = set(range(circuit.n_qubits))
-    start = max(remaining, key=lambda q: (total[q], -q))
-    placed.append(start)
-    remaining.remove(start)
+    # nothing is placed yet, so the first pick is the heaviest qubit overall
     attach = {q: 0.0 for q in remaining}
-    for nb, w in conn[start].items():
-        if nb in attach:
-            attach[nb] += w
     while remaining:
         best = max(remaining, key=lambda q: (attach[q], total[q], -q))
         placed.append(best)

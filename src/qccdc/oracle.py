@@ -17,8 +17,8 @@ shuttle weights.  The bound is consistent: a shuttle moves one qubit one
 hop, so it lowers each set's sum by at most 1 while adding at least w_min
 and one shuttle; a gate runs only at 0 hops; a SWAP or a space shift moves
 no qubit between traps.  With a consistent bound A* still returns the
-least (cost, path) under the dedup and depth rules below, so the bound
-sets how many states are expanded, not the result.  States carry each
+least (cost, path) within the depth limit (see below), so the bound sets
+how many states are expanded, not the result.  States carry each
 qubit's trap; after a shuttle, closure and h start from the gates on the
 moved qubit, and as the executed set was closed before the move, they
 depend only on the new traps and the executed set and are computed once
@@ -28,17 +28,15 @@ Ties between equal-cost paths are broken by the edge sequence itself, each
 edge written (u, v) with u < v and sequences compared lexicographically:
 heap entries carry the path right after the key, and a state keeps the
 smallest (cost, path) that reached it.  Among equal-cost optima the search
-therefore returns the smallest edge sequence, deterministically.  States
-are deduplicated on (occupancy, executed set) regardless of depth, so the
-depth limit ``max_depth`` applies to the cheapest path to each state.
+therefore returns the smallest edge sequence, deterministically.
 
-The bound also prunes by depth: a path is neither pushed nor recorded when
-its length plus h exceeds ``max_depth``.  Each of the h hops still needed
-takes at least one more operation, and as no operation lowers h by more
-than one, no extension of such a path finishes within the limit either.
-Not recorded, a pruned path no longer keeps a costlier but shorter path
-out of its state, so a search can now find a schedule, or a cheaper one,
-that such a path used to keep out.
+A state, (occupancy, executed set), is expanded again only when reached in
+fewer moves than before: paths pop in (key, path) order, so a later path of
+as many moves or more is no cheaper and reaches nothing within
+``max_depth`` that the first could not; and a pushed path keeps out only
+one neither cheaper nor shorter.  A path is not pushed when its length plus
+h exceeds ``max_depth``: each of the h hops left takes one more operation,
+and no operation lowers h by more than one.
 """
 
 from __future__ import annotations
@@ -133,14 +131,16 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
     start_exec, start_h = close(start_traps, 0, [g.id for g in gates if not preds[g.id]])
     start_cost = (0.0, 0, 0)
     best_seen: dict[tuple, tuple] = {(start_slots, start_exec): (start_cost, ())}
+    expanded: dict[tuple, int] = {}  # the fewest moves each state was expanded at
     closed: dict[tuple, tuple[int, int]] = {}  # close's result per (traps, executed)
     heap = [((start_h * w_min, start_h, 0), (), start_cost, start_slots, start_traps,
              start_exec, start_h)]
 
     while heap:
         _, path, cost, slots, traps, executed, h = heapq.heappop(heap)
-        if best_seen[(slots, executed)] < (cost, path):
+        if expanded.get((slots, executed), max_depth + 1) <= len(path):
             continue
+        expanded[slots, executed] = len(path)
         if executed == all_gates:
             return _replay_path(circuit, graph, mapping, path)
         depth = len(path) + 1  # of every path pushed from this one
@@ -171,9 +171,10 @@ def exact_schedule(circuit: Circuit, graph: DeviceGraph, mapping: dict[int, int]
             new_path = path + step
             key = (new_slots, new_exec)
             seen = best_seen.get(key)
-            if seen is not None and seen <= (new_cost, new_path):
-                continue
-            best_seen[key] = (new_cost, new_path)
+            if seen is None or (new_cost, new_path) < seen:
+                best_seen[key] = (new_cost, new_path)
+            elif len(seen[1]) <= depth:
+                continue  # a path no dearer and no longer is already pushed
             heapq.heappush(heap, ((new_cost[0] + new_h * w_min, new_cost[1] + new_h,
                                    new_cost[2]), new_path, new_cost, new_slots, new_traps,
                                   new_exec, new_h))

@@ -39,21 +39,28 @@ distance.
 
 Because the distance table ignores occupancy, enabling moves (shifting a
 space to a trap end so a shuttle becomes legal) never lower any gate's
-score, and the candidate loop can cycle through no-op shifts.  Whenever the
-best candidate fails to strictly improve the frontier score, the scheduler
-falls back to an explicit deterministic routing plan for the lowest-id
-blocked gate: free a space in each trap along the route (cascading an
-eviction out of full traps when needed), walk the moving qubit to a trap
-end, and shuttle it hop by hop.  The planner tries its moves on the live
-``MachineState`` and takes them back before returning.  The scheduler then
-applies the plan one generic swap at a time, running ready gates after each,
-until the blocked gate has run.
+score, and the candidate loop can cycle through no-op shifts; the decay can
+even raise a score between moves.  Whenever the best candidate fails to
+strictly improve the frontier score, or the placement was already scanned
+since the last gate ran, the scheduler falls back to an explicit
+deterministic routing plan for the lowest-id blocked gate: free a space in
+each trap along the route (cascading an eviction out of full traps when
+needed), walk the moving qubit to a trap end, and shuttle it hop by hop.
+The planner tries its moves on the live ``MachineState`` and takes them back
+before returning.  The scheduler then applies the plan one generic swap at a
+time, running ready gates after each, until the blocked gate has run.
+
+So the loop ends: the frontier changes only when a gate runs, the heuristic
+moves between two gate runs leave distinct placements, of which there are
+finitely many, and a plan ends with the mover in its partner's trap; if a
+whole plan leaves its gate unrun, ``SchedulerStuck`` is raised.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from numbers import Real
 from operator import attrgetter
 
 import numpy as np
@@ -79,22 +86,20 @@ DECAY_RESET_WINDOW = 5
 @dataclass(frozen=True)
 class SchedulerParams:
     delta: float = 0.001
-    iteration_cap_per_gate: int = 10000
 
     def __post_init__(self):
-        if not 0 <= self.delta < np.inf:  # NaN fails the test too
-            raise ValueError("delta must be finite and >= 0")
-        cap = self.iteration_cap_per_gate
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise ValueError(f"iteration_cap_per_gate must be an integer >= 1, not {cap!r}")
+        d = self.delta  # NaN fails the range test too
+        if isinstance(d, bool) or not isinstance(d, Real) or not 0 <= d < np.inf:
+            raise ValueError(f"delta must be finite, real and >= 0, not {d!r}")
 
 
 class SchedulerStuck(ValueError):
-    """Routing hit the per-gate swap cap without running a gate."""
+    """An escape plan was applied in full and its gate still did not run."""
 
     def __init__(self, frontier, iterations):
         super().__init__(
-            f"no progress after {iterations} generic swaps; stuck frontier: {sorted(frontier)}")
+            f"a routing plan ran out after {iterations} generic swaps without running its "
+            f"gate; stuck frontier: {sorted(frontier)}")
         self.frontier = set(frontier)
 
 
@@ -387,29 +392,22 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
     last_moved = [-DECAY_RESET_WINDOW - 1] * circuit.n_qubits
     events: list[EventRecord] = []
     iteration = 0
-    swaps_since_gate = 0
     prev_edge: tuple[int, int] | None = None
-
-    def run_gates():
-        nonlocal swaps_since_gate
-        if run_ready_gates(state, dag, events):
-            swaps_since_gate = 0
+    seen: set[tuple[int | None, ...]] = set()  # placements scanned since a gate ran
 
     def apply_edge(u: int, v: int):
         """Apply one generic swap, then run whatever gates it made ready."""
-        nonlocal iteration, prev_edge, swaps_since_gate
+        nonlocal iteration, prev_edge
         ev = state.apply_generic_swap(u, v)
         events.append(ev)
         iteration += 1
         for q in ev.qubits:
             last_moved[q] = iteration
         prev_edge = (u, v) if u < v else (v, u)
-        swaps_since_gate += 1
-        if swaps_since_gate > params.iteration_cap_per_gate:
-            raise SchedulerStuck(dag.frontier, iteration)
-        run_gates()
+        if run_ready_gates(state, dag, events):
+            seen.clear()
 
-    run_gates()
+    run_ready_gates(state, dag, events)
     while len(dag):
         frontier_gates = []
         for gid in sorted(dag.frontier):
@@ -444,21 +442,23 @@ def schedule(circuit: Circuit, graph: DeviceGraph, initial_mapping: dict[int, in
         best = min(scored, default=None,
                    key=lambda t: (t[1], prev_edge == (t[2], t[3]), t[2], t[3]))
         # improving means the score alone drops: adding the weight and taking
-        # it off again rounds, and would let a no-op swap pass as progress
-        if best is not None and best[0] < current_min:
+        # it off again rounds, and would let a no-op swap pass as progress.
+        # A repeated placement goes to the planner, so routing cannot cycle
+        placement = tuple(state.slot_qubit)
+        if best is not None and best[0] < current_min and placement not in seen:
+            seen.add(placement)
             apply_edge(best[2], best[3])
             continue
 
-        # plateau: no candidate lowers the frontier score; route the lowest-id
-        # blocked gate explicitly, stopping once it has run
+        # plateau or repeat: route the lowest-id blocked gate explicitly,
+        # stopping once it has run
         gid = min(dag.frontier)
         q1, q2 = dag.gates[gid].qubits
-        plan = plan_escape(state, graph, q1, q2, dag)
-        if not plan:
-            raise SchedulerStuck(dag.frontier, iteration)
-        for u, v in plan:
+        for u, v in plan_escape(state, graph, q1, q2, dag):
             apply_edge(u, v)
             if gid not in dag.frontier:
                 break
+        else:
+            raise SchedulerStuck(dag.frontier, iteration)
 
     return Schedule(events, circuit, graph, dict(initial_mapping))

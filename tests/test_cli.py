@@ -40,6 +40,18 @@ def test_compile_from_qasm_file(tmp_path):
     assert json.loads(out.read_text())["two_qubit_gates"] == 2
 
 
+def test_compile_a_circuit_without_qubits_under_sta(tmp_path):
+    """``--mapping sta`` on ``qreg q[0];`` exited 2 with ``max() arg is an
+    empty sequence`` where the other strategies compiled an empty schedule."""
+    qasm = tmp_path / "empty.qasm"
+    qasm.write_text("OPENQASM 2.0;\nqreg q[0];\n")
+    out = tmp_path / "m.json"
+    assert main(["compile", "--circuit", str(qasm), "--topology", "L2:3",
+                 "--mapping", "sta", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["shuttles"] == data["two_qubit_gates"] == 0
+
+
 def test_compile_events_csv_and_snapshot(tmp_path):
     ev = tmp_path / "events.csv"
     snap = tmp_path / "snap.json"

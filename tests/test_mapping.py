@@ -119,6 +119,17 @@ def test_even_division_filling_every_trap_rejected():
         {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
 
 
+@pytest.mark.parametrize("strat", list(Strategy))
+def test_a_circuit_without_qubits_maps_to_nothing(strat):
+    """STA's interaction order took the heaviest of no qubits and leaked
+    ``max() arg is an empty sequence``; every strategy places nothing."""
+    graph = to_graph(linear_topology(2, 3))
+    c = Circuit(0, ())
+    mapping = initial_mapping(c, graph, MappingParams(strategy=strat))
+    assert mapping == {}
+    assert schedule(c, graph, mapping).events == []
+
+
 def test_sta_mapping_builds_the_dag_once(monkeypatch):
     calls = []
     real = mapping_mod.build_dag
@@ -135,8 +146,11 @@ def test_sta_mapping_builds_the_dag_once(monkeypatch):
 
 
 def test_mapping_params_validation():
-    with pytest.raises(ValueError, match="lookahead_k"):
-        MappingParams(lookahead_k=0)
+    # 2.5 and True were accepted, and a string failed only at the first layer test
+    for bad in (0, -1, 2.5, True, "8", None):
+        with pytest.raises(ValueError, match="lookahead_k"):
+            MappingParams(lookahead_k=bad)
+    assert MappingParams(lookahead_k=1).lookahead_k == 1
     for name in ("alpha", "beta"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=name):

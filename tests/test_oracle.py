@@ -1,3 +1,4 @@
+import functools
 import heapq
 import random
 
@@ -15,11 +16,15 @@ from qccdc.state import MachineState
 
 
 def reference_exact(circuit, graph, mapping, limits=None):
-    """Uniform-cost search over (occupancy, executed-gate-set) states, with
-    no lower bound and a full gate rescan per expansion, under the same
-    limits and state deduplication as ``exact_schedule``: the reference its
-    optimum must equal.  Returns the optimal (weight, shuttles, swaps), or
-    Infeasible."""
+    """Uniform-cost search over (occupancy, executed-gate-set, depth) states,
+    with no lower bound and a full gate rescan per move, under the same
+    limits as ``exact_schedule``: the reference its optimum must equal.
+    Returns the optimal (weight, shuttles, swaps), or Infeasible.
+
+    A state is expanded again only when it is reached in fewer moves than
+    before: costs pop in order, so a later arrival in as many moves or more
+    costs no less and reaches nothing the first could not.  So no cheaper
+    path of more moves keeps a shorter one out."""
     limits = limits or OracleLimits()
     # a gate's predecessors: the last earlier gate on each of its qubits
     preds, last = [], {}
@@ -31,6 +36,7 @@ def reference_exact(circuit, graph, mapping, limits=None):
     edges = list(zip(graph.edge_u.tolist(), graph.edge_v.tolist(), graph.edge_weight.tolist(),
                      graph.edge_class.tolist()))
 
+    @functools.cache
     def run_free_gates(slots, executed):
         node_of = {q: i for i, q in enumerate(slots) if q is not None}
         changed = True
@@ -48,18 +54,17 @@ def reference_exact(circuit, graph, mapping, limits=None):
         return frozenset(done)
 
     start_slots = tuple(MachineState(graph, mapping, circuit.n_qubits).slot_qubit)
-    start_exec = run_free_gates(start_slots, frozenset())
-    start_cost = (0.0, 0, 0)
-    best_seen = {(start_slots, start_exec): start_cost}
+    expanded = {}  # the fewest moves each (slots, executed) state was expanded at
     counter = 0
-    heap = [(start_cost, counter, start_slots, start_exec, 0)]
+    heap = [((0.0, 0, 0), counter, start_slots, run_free_gates(start_slots, frozenset()), 0)]
     while heap:
         cost, _, slots, executed, depth = heapq.heappop(heap)
-        if best_seen.get((slots, executed), cost) < cost:
+        if expanded.get((slots, executed), depth + 1) <= depth:
             continue
+        expanded[slots, executed] = depth
         if executed == all_gates:
             return cost
-        if depth >= limits.max_depth:
+        if depth == limits.max_depth:
             continue
         for u, v, w, cls in edges:
             kind = EDGE_KINDS[cls][(slots[u] is not None) + (slots[v] is not None)]
@@ -69,16 +74,38 @@ def reference_exact(circuit, graph, mapping, limits=None):
             new_slots[u], new_slots[v] = new_slots[v], new_slots[u]
             new_slots = tuple(new_slots)
             new_exec = run_free_gates(new_slots, executed)
+            if expanded.get((new_slots, new_exec), depth + 2) <= depth + 1:
+                continue
             new_cost = (cost[0] + w,
                         cost[1] + (1 if kind is EventKind.SHUTTLE else 0),
                         cost[2] + (1 if kind is EventKind.SWAP else 0))
-            key = (new_slots, new_exec)
-            if key in best_seen and best_seen[key] <= new_cost:
-                continue
-            best_seen[key] = new_cost
             counter += 1
             heapq.heappush(heap, (new_cost, counter, new_slots, new_exec, depth + 1))
     return Infeasible(limits.max_depth)
+
+
+def explicit_instance(rng):
+    """A routing instance on 3-4 traps of capacity 2-3 (at most 12 slots),
+    joined in a chain plus 1-3 more paths between random traps, so some
+    pairs have parallel paths; each path has 1-3 segments and 0-2
+    junctions.  A random placement keeps at least one space."""
+    n = rng.randint(3, 4)
+    caps = [rng.randint(2, 3) for _ in range(n)]
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+    junctions, paths = [], []
+    for a, b in pairs:
+        ids = tuple(range(len(junctions), len(junctions) + rng.randint(0, 2)))
+        junctions += [Junction(j, 3) for j in ids]
+        paths.append(Path(a, b, rng.randint(1, 3), ids))
+    topo = Topology(tuple(Trap(i, c) for i, c in enumerate(caps)), tuple(paths),
+                    tuple(junctions))
+    graph = to_graph(topo, WeightParams())
+    n_qubits = rng.randint(2, graph.n_nodes - 1)
+    mapping = dict(enumerate(rng.sample(range(graph.n_nodes), n_qubits)))
+    gates = tuple(Gate(i, "cx", tuple(rng.sample(range(n_qubits), 2)))
+                  for i in range(rng.randint(1, 5)))
+    return Circuit(n_qubits, gates), graph, mapping
 
 
 def optimum(res):
@@ -177,18 +204,21 @@ def test_ideal_bounds_match_relax_flags():
         assert ideal_bounds(s, mode).success_rate >= base.success_rate
 
 
-@pytest.mark.parametrize("seed,draws,shape,depth", [
-    (2026, 150, {}, 8),
-    (31, 100, dict(max_traps=4, max_gates=5), 4),   # a third are Infeasible
-    (31, 60, dict(max_traps=4, max_gates=5, max_capacity=2), 8),
-])
-def test_a_star_matches_reference_search(seed, draws, shape, depth):
+@pytest.mark.parametrize("seed,draws,instance,depth", [
+    (2026, 150, random_instance, 8),
+    (31, 100, functools.partial(random_instance, max_traps=4, max_gates=5), 4),  # a third Infeasible
+    (31, 60, functools.partial(random_instance, max_traps=4, max_gates=5, max_capacity=2), 8),
+    (44, 100, explicit_instance, 4),  # one path per state misses optima here
+], ids=["linear", "linear-4-traps", "linear-capacity-2", "parallel-paths"])
+def test_a_star_matches_reference_search(seed, draws, instance, depth):
     """A* returns the reference's optimum (weight under ==, shuttles, swaps)
-    and its Infeasible verdicts, with the same limits, on 310 draws."""
+    and its Infeasible verdicts, with the same limits, on 410 draws: linear
+    chains, and topologies with parallel paths, where a search that keeps
+    one path per state regardless of depth would miss some optima."""
     rng = random.Random(seed)
     limits = OracleLimits(max_depth=depth)
     for _ in range(draws):
-        c, g, m = random_instance(rng, **shape)
+        c, g, m = instance(rng)
         assert optimum(exact_schedule(c, g, m, limits)) == reference_exact(c, g, m, limits)
 
 
@@ -308,12 +338,12 @@ def test_depth_pruning_pushes_only_paths_that_can_still_finish(monkeypatch):
 
 def test_a_pruned_path_no_longer_blocks_a_shorter_one():
     """Four traps in a chain, and a two-junction path from trap 1 to trap 3.
-    The best schedule within three moves takes the dear path, (5.0, 3, 0);
-    a search over (state, depth) pairs finds the same.  Without depth
-    pruning, a cheaper path of more moves is recorded first for a state on
-    the way and keeps the shorter one out, so the reference, which keeps
-    that rule, finds nothing; pruned as too long to finish, that path blocks
-    nothing, and the search finds the schedule."""
+    The best schedule within three moves takes the dear path, (5.0, 3, 0),
+    and so does the search over (state, depth) pairs.  A cheaper path of
+    more moves reaches a state on the way first; a search that keeps one
+    path per state regardless of depth, and prunes nothing, let it keep the
+    shorter one out and found no schedule.  Pruned as too long to finish,
+    that path blocks nothing.  With a fourth move the cheaper route fits."""
     topo = Topology(tuple(Trap(i, c) for i, c in enumerate((3, 3, 2, 3))),
                     (Path(0, 1), Path(1, 2), Path(2, 3), Path(1, 3, 1, (1, 2))),
                     tuple(Junction(j, 3) for j in range(3)))
@@ -322,7 +352,27 @@ def test_a_pruned_path_no_longer_blocks_a_shorter_one():
     mapping = {0: 8, 1: 2, 2: 1, 3: 0}
     limits = OracleLimits(max_depth=3)
     s = exact_schedule(c, g, mapping, limits)
-    assert optimum(s) == (5.0, 3, 0) and not replay(s)
-    assert reference_exact(c, g, mapping, limits) == Infeasible(3)
-    assert optimum(exact_schedule(c, g, mapping, OracleLimits(max_depth=4))) == \
-        reference_exact(c, g, mapping, OracleLimits(max_depth=4))
+    assert optimum(s) == reference_exact(c, g, mapping, limits) == (5.0, 3, 0)
+    assert not replay(s)
+    deeper = optimum(exact_schedule(c, g, mapping, OracleLimits(max_depth=4)))
+    assert deeper == reference_exact(c, g, mapping, OracleLimits(max_depth=4))
+    assert deeper[0] < 5.0
+
+
+def test_a_cheaper_longer_path_no_longer_keeps_a_shorter_one_out():
+    """Two parallel paths join traps 0 and 1.  Within four moves the only
+    schedule costs (10.0, 4, 0).  A cheaper path of more moves, not pruned
+    by the hop bound, reaches a state on the way before the shorter one;
+    when each state kept one path regardless of depth, the search reported
+    no schedule.  A state is now expanded again when reached in fewer moves."""
+    topo = Topology(tuple(Trap(i, c) for i, c in enumerate((2, 2, 3))),
+                    (Path(0, 1, 2), Path(1, 2, 2, (0, 1)), Path(2, 0, 3), Path(0, 1, 2)),
+                    (Junction(0, 3), Junction(1, 3)))
+    g = to_graph(topo, WeightParams())
+    c = Circuit(4, tuple(Gate(i, "cx", pair) for i, pair in
+                         enumerate([(1, 0), (1, 3), (3, 0), (3, 1), (2, 0)])))
+    mapping = {0: 6, 1: 0, 2: 5, 3: 3}
+    limits = OracleLimits(max_depth=4)
+    s = exact_schedule(c, g, mapping, limits)
+    assert optimum(s) == reference_exact(c, g, mapping, limits) == (10.0, 4, 0)
+    assert not replay(s)

@@ -470,12 +470,11 @@ def test_drain_matches_reference_on_random_instances(monkeypatch):
     rng = random.Random(2026)
     draws = [random_instance(rng, max_traps=4, max_capacity=4, max_gates=8) for _ in range(150)]
     small = [random_instance(rng) for _ in range(30)]
-    params = SchedulerParams(iteration_cap_per_gate=500)
-    new = [schedule(c, g, m, params).events for c, g, m in draws]
+    new = [schedule(c, g, m).events for c, g, m in draws]
     exact = [exact_schedule(c, g, m) for c, g, m in small]
     with monkeypatch.context() as mp:
         with_reference_drain(mp)
-        assert [schedule(c, g, m, params).events for c, g, m in draws] == new
+        assert [schedule(c, g, m).events for c, g, m in draws] == new
         for (c, g, m), ex in zip(small, exact):
             ref = exact_schedule(c, g, m)
             assert getattr(ref, "events", ref) == getattr(ex, "events", ex)
@@ -660,10 +659,9 @@ def evaluate_cases():
     """Schedules with gates, SWAPs, shifts and shuttles, junction-free and
     through junctions."""
     rng = random.Random(314)
-    params = SchedulerParams(iteration_cap_per_gate=500)
     for _ in range(30):
         c, g, m = random_instance(rng, max_traps=4, max_capacity=5, max_gates=8)
-        yield schedule(c, g, m, params)
+        yield schedule(c, g, m)
     for topo in (linear_topology(3, 6), grid_topology(2, 2, 5), star_topology(4, 5)):
         graph = to_graph(topo)
         for gen, size, kw in (("qft", 10, {}), ("heisenberg", 9, {"trotter_steps": 2})):

@@ -158,16 +158,17 @@ def test_unplaced_qubit_rejected():
 def test_params_validation():
     with pytest.raises(ValueError):
         SchedulerParams(delta=-0.1)
-    # a cap below 1 blamed routing ("no progress after 1 generic swaps"),
-    # and a NaN cap turned the cap off
-    for bad in (0, -3, float("nan"), 2.5, True, "10"):
-        with pytest.raises(ValueError, match="iteration_cap_per_gate"):
-            SchedulerParams(iteration_cap_per_gate=bad)
     # a NaN decay factor made every decayed score NaN: L3:4 qft:8 routed
     # with 12 shuttles instead of 16
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="delta"):
             SchedulerParams(delta=bad)
+    # True routed silently with delta 1.0, and a string failed only at the
+    # first decayed score
+    for bad in (True, False, "0.1", None, 1j):
+        with pytest.raises(ValueError, match="delta"):
+            SchedulerParams(delta=bad)
+    assert SchedulerParams(delta=0).delta == 0 and SchedulerParams(delta=2).delta == 2
 
 
 def test_star_topology_schedules():
@@ -257,14 +258,55 @@ def test_junction_free_path_schedules():
     assert s.metrics["shuttles"] == 1
 
 
-def test_swap_cap_raises_a_value_error():
-    # slots 0 1 2 | 3 4 5 hold q1 q0 q2 | _ q3 _: q0 must reach an end of its
-    # full trap and then shuttle, two generic swaps before the gate can run
+def test_a_plan_that_does_not_route_its_gate_raises_scheduler_stuck(monkeypatch):
+    # slots 0 1 2 | 3 4 5 hold _ q1 q0 | _ q2 q3: no single swap lowers the
+    # score, so the scheduler asks for a plan.  One that shifts trap 0's space
+    # there and back runs out with the gate still blocked
     g = to_graph(linear_topology(2, 3), WeightParams())
     c = Circuit(4, (Gate(0, "cx", (0, 3)),))
-    with pytest.raises(SchedulerStuck) as err:
-        schedule(c, g, {1: 0, 0: 1, 2: 2, 3: 4}, SchedulerParams(iteration_cap_per_gate=1))
-    assert isinstance(err.value, ValueError)
+    mapping = {0: 2, 1: 1, 2: 4, 3: 5}
+    monkeypatch.setattr(scheduler, "plan_escape", lambda *args: [(0, 1), (0, 1)])
+    with pytest.raises(SchedulerStuck, match=r"stuck frontier: \[0\]") as err:
+        schedule(c, g, mapping)
+    assert isinstance(err.value, ValueError) and err.value.frontier == {0}
+    monkeypatch.setattr(scheduler, "plan_escape", lambda *args: [])
+    with pytest.raises(SchedulerStuck):
+        schedule(c, g, mapping)
+
+
+def test_a_repeated_placement_goes_to_the_planner(monkeypatch):
+    """With a large decay the heuristic comes back to placements it left.
+    Once the scheduler scans a placement already scanned since the last
+    gate ran, its next move comes from ``plan_escape``."""
+    log = []
+
+    def logged(name, fn, entry):
+        def wrapper(*args):
+            out = fn(*args)
+            log.append(entry(args, out))
+            return out
+        monkeypatch.setattr(scheduler, name, wrapper)
+
+    logged("candidates", scheduler.candidates, lambda a, _: tuple(a[0].slot_qubit))
+    logged("plan_escape", scheduler.plan_escape, lambda a, _: "plan")
+    logged("run_ready_gates", scheduler.run_ready_gates, lambda a, ran: "gate" if ran else None)
+    circuit = gen_benchmark("alt", 11)
+    graph = to_graph(parse_topology_spec("L4:4"))
+    mapping = initial_mapping(circuit, graph, MappingParams(strategy=Strategy.EVEN_DIVIDED))
+    s = schedule(circuit, graph, mapping, SchedulerParams(delta=3.0))
+    assert not replay(s)
+
+    log = [entry for entry in log if entry is not None]
+    seen, repeats = set(), 0
+    for entry, after in zip(log, log[1:]):
+        if entry == "gate":
+            seen.clear()
+        elif entry != "plan":
+            if entry in seen:
+                repeats += 1
+                assert after == "plan"
+            seen.add(entry)
+    assert repeats
 
 
 def snapshot(state):

@@ -8,10 +8,11 @@ every workload of ``BENCHMARK.json``, each of ``--runs`` seeds from
 ``--first-seed`` on runs ``benchmarks/run.py`` for the file's
 ``run_seconds`` once in each checkout with that seed: a pair.  Pairs
 alternate which side runs first, so both sides share the host's slow and
-fast spells.  Every run imports from source alike: it reads and writes no
-bytecode cache, so each import compiles the modules it loads, the standard
-library's and numpy's included, which adds to ``setup_s`` and
-``peak_rss_mb`` on both sides.  The output holds,
+fast spells.  Every run starts from a fresh copy of its checkout without
+``__pycache__`` directories and writes no bytecode, so it compiles the
+program's own modules from source and reads no cache an earlier run left;
+the standard library and numpy load from their installed caches, as in a
+plain run of ``benchmarks/run.py``.  The output holds,
 per workload and side, the median and quartiles of the eight end-to-end
 metrics, the operations attempted and failed and whether every run was
 correct; per workload, in how many pairs the change read lower on each
@@ -24,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,16 +38,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``benchmarks/run.py`` run; its last output line as a dict.
+    """One ``benchmarks/run.py`` run in a fresh copy of ``checkout``; its
+    last output line as a dict.
 
-    The run writes no bytecode and looks for it only under a fresh, empty
-    ``PYTHONPYCACHEPREFIX``, so it reads no ``__pycache__`` that an earlier
+    The copy leaves out ``.git`` and every ``__pycache__``, and the run
+    writes no bytecode, so it reads no cache of the program that an earlier
     run left in either checkout."""
-    with tempfile.TemporaryDirectory() as prefix:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=prefix)
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(checkout, copy, ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env.pop("PYTHONPYCACHEPREFIX", None)
         proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
                                "--seed", str(seed), "--seconds", str(seconds)],
-                              cwd=checkout, env=env, capture_output=True, text=True,
+                              cwd=copy, env=env, capture_output=True, text=True,
                               check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
